@@ -30,7 +30,7 @@ from .reference_spectra import (AnalyticEigenvalue, bessel_derivative_roots,
                                 sphere_bulk_spectrum, sphere_surface_spectrum,
                                 spherical_bessel_j)
 from .simulator import (SimulationConfig, SimulationOutcome, SimulationStatus,
-                        imex_step, initial_condition, simulate)
+                        initial_condition, simulate)
 from .solvers import LinearSolveError, SpdSolver, pcg
 
 __version__ = "0.1.0"

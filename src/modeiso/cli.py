@@ -168,8 +168,10 @@ def cmd_simulate(config: RunConfig, out: str) -> int:
     iso = config.isolation
     if iso["d"] is not None and iso["gamma"] is not None:
         d, gamma = iso["d"], iso["gamma"]
+        M = assemble_mass(mesh)
+        A = assemble_stiffness(mesh)
     else:
-        spectrum, _, _ = _compute_spectrum(config, mesh)
+        spectrum, M, A = _compute_spectrum(config, mesh)
         model = config.kinetics.build()
         J = jacobian(model, steady_state(model))
         result = _isolation_result(config, spectrum, J)
@@ -178,8 +180,6 @@ def cmd_simulate(config: RunConfig, out: str) -> int:
                   file=sys.stderr)
             return EXIT_COMPUTE
         d, gamma = result.d, result.gamma
-    M = assemble_mass(mesh)
-    A = assemble_stiffness(mesh)
     outcome = _run_simulation(config, mesh, M, A, d, gamma, out)
     print(f"simulate: status={outcome.status.value} t={outcome.elapsed:.4g}")
     return EXIT_OK if outcome.status is SimulationStatus.CONVERGED \

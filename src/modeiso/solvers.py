@@ -1,8 +1,12 @@
 """Sparse symmetric positive definite linear solvers.
 
-A hand-rolled preconditioned conjugate gradient (Jacobi preconditioner)
-plus a direct sparse-factorization path for small systems.  Both check
-the achieved residual so callers never receive a silently bad solve.
+`SpdSolver` wraps one fixed matrix for repeated solves.  Up to
+DIRECT_ORDER_THRESHOLD unknowns it factors the matrix once (SuperLU) and
+reuses the factors; above that it runs a hand-rolled conjugate gradient
+with a Jacobi preconditioner, warm-started from the caller's guess.  The
+eigensolver's shift-invert systems and the simulator's IMEX diffusion
+systems both go through it.  Every solve checks the achieved residual,
+so callers never receive a silently bad solve.
 """
 
 from __future__ import annotations
