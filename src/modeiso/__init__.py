@@ -31,7 +31,7 @@ from .reference_spectra import (AnalyticEigenvalue, bessel_derivative_roots,
                                 spherical_bessel_j)
 from .simulator import (SimulationConfig, SimulationOutcome, SimulationStatus,
                         initial_condition, simulate)
-from .solvers import LinearSolveError, SpdSolver, pcg
+from .solvers import LinearSolveError, SpdSolver
 
 __version__ = "0.1.0"
 

@@ -189,12 +189,6 @@ class ShiftInvertOperator:
         return self.solver.solve(self.M @ v)
 
 
-def inner_solve(A_shifted: sp.spmatrix, rhs: np.ndarray,
-                tol: float = 1e-9, method: str = "auto") -> np.ndarray:
-    """Solve the shifted SPD system to relative residual tol/100."""
-    return SpdSolver(A_shifted, rtol=tol / 100.0, method=method).solve(rhs)
-
-
 def default_shift(A: sp.spmatrix, M: sp.spmatrix) -> float:
     """Small positive shift making A + sigma*M safely definite despite the
     Neumann kernel."""

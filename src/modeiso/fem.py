@@ -16,19 +16,15 @@ import scipy.sparse as sp
 from .mesh import Mesh
 
 
-def _element_geometry(mesh: Mesh):
-    """Per-cell measures and barycentric gradients (in embedding coords)."""
+def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
+    """Per-cell barycentric gradients (in embedding coords)."""
     coords = mesh.vertices[mesh.cells]           # (nc, d+1, e)
     edges = coords[:, 1:, :] - coords[:, :1, :]  # (nc, d, e)
     gram = edges @ edges.transpose(0, 2, 1)      # (nc, d, d)
-    d = mesh.intrinsic_dim
-    det = np.linalg.det(gram)
-    measures = np.sqrt(np.maximum(det, 0.0)) / math.factorial(d)
     # gradients of barycentric coordinates 1..d: rows of (G^-1 E)
     grads_tail = np.linalg.solve(gram, edges)    # (nc, d, e)
     grads0 = -grads_tail.sum(axis=1, keepdims=True)
-    grads = np.concatenate([grads0, grads_tail], axis=1)  # (nc, d+1, e)
-    return measures, grads
+    return np.concatenate([grads0, grads_tail], axis=1)  # (nc, d+1, e)
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
@@ -53,7 +49,8 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """P1 stiffness matrix of the (tangential) Laplacian, Neumann kernel."""
-    measures, grads = _element_geometry(mesh)
+    measures = mesh.cell_measures()
+    grads = _barycentric_gradients(mesh)
     local = measures[:, None, None] * (grads @ grads.transpose(0, 2, 1))
     return _scatter(mesh, local)
 

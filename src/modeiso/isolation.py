@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import (Jacobian2x2, KineticsError, critical_diffusion_ratio,
-                       dimensionless_window)
+from .kinetics import (Jacobian2x2, critical_diffusion_ratio,
+                       dimensionless_window, wavenumber_window)
 from .reference_spectra import eigenvalue_array
 
 EPS_SHRINK_DIVISOR = 100.0   # eps decreases by d_c / 100 per co-excitation
@@ -58,16 +58,13 @@ def _inside(values: np.ndarray, window: tuple[float, float]) -> list[int]:
     return [int(i) for i in np.nonzero((values > lo) & (values < hi))[0]]
 
 
-def verify_isolation(spectrum, J: Jacobian2x2, d: float, gamma: float,
-                     target_index: int | None = None) -> list[int]:
+def verify_isolation(spectrum, J: Jacobian2x2, d: float,
+                     gamma: float) -> list[int]:
     """Indices of spectrum values strictly inside the window for (d, gamma).
 
-    Pure audit used by tests and the CLI to validate user-supplied pairs;
-    target_index is accepted for interface symmetry and unused.
+    Pure audit used by tests and the CLI to validate user-supplied pairs.
     """
-    values = eigenvalue_array(spectrum)
-    L, R = dimensionless_window(J, d)
-    return _inside(values, (gamma * L, gamma * R))
+    return _inside(eigenvalue_array(spectrum), wavenumber_window(J, d, gamma))
 
 
 def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
@@ -113,7 +110,7 @@ def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
     centered = False
 
     d = d_c + eps
-    window = _scaled_window(J, d, gamma)
+    window = wavenumber_window(J, d, gamma)
     for _ in range(max_iters):
         trace.append((d, gamma, window))
         excited = _inside(values, window)
@@ -125,7 +122,7 @@ def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
                 # (k-scale), which maximizes the linear growth rate of the
                 # isolated mode; keep it only if it still isolates
                 gamma_c = _centering_gamma(J, d, target)
-                window_c = _scaled_window(J, d, gamma_c)
+                window_c = wavenumber_window(J, d, gamma_c)
                 excited_c = _inside(values, window_c)
                 if target_index in excited_c and all(
                         i in cluster for i in excited_c):
@@ -138,7 +135,7 @@ def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
             if eps > eps_floor:
                 eps = max(eps - d_c / EPS_SHRINK_DIVISOR, eps_floor)
                 d = d_c + eps
-                window = _scaled_window(J, d, gamma)
+                window = wavenumber_window(J, d, gamma)
                 continue
             # narrowest reachable window: center it on the target once and
             # accept the residual co-excited set if it cannot be avoided
@@ -176,17 +173,11 @@ def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
             step /= 2.0
             new_gamma = gamma + direction * step
         gamma = new_gamma
-        window = _scaled_window(J, d, gamma)
+        window = wavenumber_window(J, d, gamma)
 
     excited = _inside(values, window)
     return IsolationResult(IsolationStatus.FAILED, d, gamma, window,
                            tuple(excited), d_c, tuple(trace))
-
-
-def _scaled_window(J: Jacobian2x2, d: float,
-                   gamma: float) -> tuple[float, float]:
-    L, R = dimensionless_window(J, d)
-    return gamma * L, gamma * R
 
 
 def _centering_gamma(J: Jacobian2x2, d: float, target: float) -> float:

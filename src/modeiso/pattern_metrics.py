@@ -87,18 +87,3 @@ def match_pattern(pattern: np.ndarray, spectrum: Spectrum, M: sp.spmatrix,
                        projection_residual=min(residual, 1.0),
                        eigenspace=tuple(cluster))
 
-
-def correlation_with_indices(pattern: np.ndarray, spectrum: Spectrum,
-                             M: sp.spmatrix, indices) -> float:
-    """Projection norm of the centered pattern onto a chosen eigenspace."""
-    p = np.asarray(pattern, dtype=float)
-    ones = np.ones_like(p)
-    mean = m_inner(M, ones, p) / m_inner(M, ones, ones)
-    centered = p - mean
-    norm = m_norm(M, centered)
-    if norm == 0.0:
-        return 0.0
-    centered /= norm
-    basis = spectrum.vectors[:, list(indices)]
-    coeffs = basis.T @ (M @ centered)
-    return min(m_norm(M, basis @ coeffs), 1.0)

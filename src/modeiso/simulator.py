@@ -3,9 +3,8 @@ reaction-diffusion system.
 
 Diffusion is implicit, reactions explicit and evaluated nodally
 (the Lagrange interpolant of f and g), giving two constant SPD systems
-(M/tau + A) and (M/tau + d A).  Each is handed once to `SpdSolver`, which
-factors it when it is small enough and otherwise runs warm-started
-preconditioned conjugate gradient; every solve is residual checked.
+(M/tau + A) and (M/tau + d A).  Each is factored once by `SpdSolver` and
+the factors are reused on every step; every solve is residual checked.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ class ImexStepper:
         # M (gamma f + u/tau) and M (gamma g + v/tau) in one product.
         rhs = self.M @ np.column_stack((cfg.gamma * fu + u / cfg.tau,
                                         cfg.gamma * gv + v / cfg.tau))
-        u_new = self.solver_u.solve(rhs[:, 0], x0=u)
-        v_new = self.solver_v.solve(rhs[:, 1], x0=v)
+        u_new = self.solver_u.solve(rhs[:, 0])
+        v_new = self.solver_v.solve(rhs[:, 1])
         return u_new, v_new
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import modeiso as mi
 from modeiso.fem import interpolate
-from modeiso.pattern_metrics import (cluster_spectrum,
-                                     correlation_with_indices, match_pattern)
+from modeiso.pattern_metrics import cluster_spectrum, match_pattern
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +79,6 @@ def test_match_invariant_to_affine_rescaling(square_spectrum, scale, offset,
     r1 = match_pattern(sign * scale * base + offset, spec, M)
     assert r1.eigenspace == r0.eigenspace
     assert r1.correlation == pytest.approx(r0.correlation, abs=1e-9)
-
-
-def test_correlation_with_indices(square_spectrum):
-    mesh, M, spec = square_spectrum
-    pattern = interpolate(lambda x, y: math.cos(math.pi * x), mesh)
-    corr = correlation_with_indices(pattern, spec, M, [1, 2])
-    assert corr > 0.999
-    assert correlation_with_indices(pattern, spec, M, [3]) < 0.05
 
 
 def test_size_mismatch_rejected(square_spectrum):

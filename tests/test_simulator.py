@@ -5,7 +5,6 @@ import modeiso as mi
 from modeiso.kinetics import KineticsModel
 from modeiso.simulator import (ImexStepper, SimulationConfig,
                                SimulationStatus, initial_condition, simulate)
-from modeiso.solvers import DIRECT_ORDER_THRESHOLD, SpdSolver
 
 ZERO_KINETICS = KineticsModel("zero", {},
                               f=lambda u, v: 0.0 * u,
@@ -59,7 +58,7 @@ def test_pure_diffusion_conserves_mass(small_mesh):
         mass = new_mass
 
 
-def test_stepper_factors_and_matches_pcg_reference_loop():
+def test_stepper_matches_dense_reference_loop():
     mesh = mi.generate_rectangle(1.0, 1.0, 16, 16)
     model = mi.schnakenberg()
     config = SimulationConfig(model=model, d=10.0, gamma=50.0, tau=1e-3)
@@ -68,37 +67,24 @@ def test_stepper_factors_and_matches_pcg_reference_loop():
     u0, v0 = initial_condition(mesh, mi.steady_state(model), 0.01, seed=3)
 
     stepper = ImexStepper(M, A, config)
-    assert stepper.solver_u.method == "direct"
-    assert stepper.solver_v.method == "direct"
     u, v = u0, v0
     for _ in range(200):
         u, v = stepper.step(u, v)
 
-    # The scheme written out step by step, solved by warm-started PCG.
+    # The scheme written out step by step, solved by dense LAPACK.
     tau, gamma = config.tau, config.gamma
-    solver_u = SpdSolver((M / tau + A).tocsr(), rtol=1e-10, method="pcg")
-    solver_v = SpdSolver((M / tau + config.d * A).tocsr(), rtol=1e-10,
-                         method="pcg")
+    K_u = (M / tau + A).toarray()
+    K_v = (M / tau + config.d * A).toarray()
     u_ref, v_ref = u0, v0
     for _ in range(200):
         fu, gv = model.f(u_ref, v_ref), model.g(u_ref, v_ref)
         u_ref, v_ref = (
-            solver_u.solve(gamma * (M @ fu) + (M @ u_ref) / tau, x0=u_ref),
-            solver_v.solve(gamma * (M @ gv) + (M @ v_ref) / tau, x0=v_ref))
+            np.linalg.solve(K_u, gamma * (M @ fu) + (M @ u_ref) / tau),
+            np.linalg.solve(K_v, gamma * (M @ gv) + (M @ v_ref) / tau))
 
     assert np.abs(u - u0).max() > 1e-4  # the steps did move the state
     assert np.abs(u - u_ref).max() < 1e-8
     assert np.abs(v - v_ref).max() < 1e-8
-
-
-def test_stepper_uses_pcg_above_direct_threshold():
-    mesh = mi.generate_rectangle(1.0, 1.0, 150, 150)
-    assert mesh.n_vertices == 22801 > DIRECT_ORDER_THRESHOLD
-    config = SimulationConfig(model=mi.schnakenberg(), d=10.0, gamma=20.0)
-    stepper = ImexStepper(mi.assemble_mass(mesh),
-                          mi.assemble_stiffness(mesh), config)
-    assert stepper.solver_u.method == "pcg"
-    assert stepper.solver_v.method == "pcg"
 
 
 def test_steady_state_is_fixed_point(small_mesh):

@@ -5,66 +5,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modeiso as mi
-from modeiso.solvers import LinearSolveError, SpdSolver, pcg
+from modeiso.solvers import LinearSolveError, SpdSolver
 
 from conftest import random_spd
 
 
-def test_pcg_solves_spd_system():
-    A = sp.csr_matrix(random_spd(40, seed=0))
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal(40)
-    x = pcg(A, b, rtol=1e-12)
-    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
-
-
-def test_pcg_zero_rhs():
+def test_spd_solver_zero_rhs():
     A = sp.identity(5, format="csr")
-    assert np.all(pcg(A, np.zeros(5)) == 0.0)
+    assert np.all(SpdSolver(A).solve(np.zeros(5)) == 0.0)
 
 
-def test_pcg_warm_start_exact():
-    A = sp.csr_matrix(random_spd(20, seed=2))
-    x_true = np.arange(20, dtype=float)
-    b = A @ x_true
-    x = pcg(A, b, rtol=1e-10, x0=x_true)
-    assert np.allclose(x, x_true)
-
-
-def test_pcg_rejects_indefinite():
-    A = sp.diags([1.0, -1.0, 1.0]).tocsr()
-    with pytest.raises(LinearSolveError):
-        pcg(A, np.ones(3))
-
-
-def test_spd_solver_direct_and_pcg_agree():
+def test_spd_solver_matches_dense_solve():
     mesh = mi.generate_rectangle(1.0, 1.0, 10, 10)
     M = mi.assemble_mass(mesh)
     A = (M + mi.assemble_stiffness(mesh)).tocsr()
     rng = np.random.default_rng(4)
     b = rng.standard_normal(A.shape[0])
-    x_dir = SpdSolver(A, rtol=1e-11, method="direct").solve(b)
-    x_pcg = SpdSolver(A, rtol=1e-11, method="pcg").solve(b)
-    assert np.allclose(x_dir, x_pcg, atol=1e-8)
+    x = SpdSolver(A, rtol=1e-11).solve(b)
+    assert np.allclose(x, np.linalg.solve(A.toarray(), b), atol=1e-8)
 
 
 def test_spd_solver_detects_singular():
     mesh = mi.generate_interval(1.0, 5)
     A = mi.assemble_stiffness(mesh)  # singular (Neumann kernel)
-    solver = SpdSolver(A.tocsr(), rtol=1e-10, method="direct")
+    solver = SpdSolver(A.tocsr(), rtol=1e-10)
     with pytest.raises(LinearSolveError):
         solver.solve(np.ones(A.shape[0]))
 
 
-def test_spd_solver_unknown_method():
-    with pytest.raises(ValueError):
-        SpdSolver(sp.identity(3, format="csr"), method="qr")
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(5, 60))
-def test_pcg_residual_contract(seed, n):
+def test_spd_solver_residual_contract(seed, n):
     A = sp.csr_matrix(random_spd(n, seed=seed))
     b = np.random.default_rng(seed + 1).standard_normal(n)
-    x = pcg(A, b, rtol=1e-9)
+    x = SpdSolver(A, rtol=1e-9).solve(b)
     assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b) * (1 + 1e-12)
