@@ -23,9 +23,10 @@ from .eigensolver import EigensolverError, Spectrum, smallest_eigenpairs
 from .fem import assemble_mass, assemble_stiffness
 from .isolation import (IsolationError, IsolationResult, IsolationStatus,
                         isolate_mode, verify_isolation)
-from .kinetics import KineticsError, jacobian, steady_state
-from .meshio import write_vtk
-from .pattern_metrics import match_pattern
+from .kinetics import (KineticsError, critical_diffusion_ratio, jacobian,
+                       steady_state, wavenumber_window)
+from .meshio import read_vtk, write_vtk
+from .pattern_metrics import MatchReport, match_pattern
 from .simulator import SimulationConfig, SimulationStatus, simulate
 from .solvers import LinearSolveError
 
@@ -94,18 +95,19 @@ def cmd_eigs(config: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _isolation_result(config: RunConfig, spectrum: Spectrum,
-                      J) -> IsolationResult:
+def _isolation_result(config: RunConfig,
+                      spectrum: Spectrum) -> IsolationResult:
+    model = config.kinetics.build()
+    J = jacobian(model, steady_state(model))
     iso = config.isolation
     if iso["target_index"] is None:
         d, gamma = iso["d"], iso["gamma"]
         excited = verify_isolation(spectrum, J, d, gamma)
-        from .kinetics import critical_diffusion_ratio, dimensionless_window
-        L, R = dimensionless_window(J, d)
         status = (IsolationStatus.UNIQUE if len(excited) == 1
                   else IsolationStatus.CLUSTERED if excited
                   else IsolationStatus.FAILED)
-        return IsolationResult(status, d, gamma, (gamma * L, gamma * R),
+        return IsolationResult(status, d, gamma,
+                               wavenumber_window(J, d, gamma),
                                tuple(excited), critical_diffusion_ratio(J))
     return isolate_mode(spectrum, iso["target_index"], J,
                         gamma0=iso["gamma0"], eps0=iso["eps0"],
@@ -115,9 +117,7 @@ def _isolation_result(config: RunConfig, spectrum: Spectrum,
 def cmd_isolate(config: RunConfig, out: str) -> int:
     mesh = config.mesh.build()
     spectrum, _, _ = _compute_spectrum(config, mesh)
-    model = config.kinetics.build()
-    J = jacobian(model, steady_state(model))
-    result = _isolation_result(config, spectrum, J)
+    result = _isolation_result(config, spectrum)
     _write_json(os.path.join(out, "isolation.json"), result.as_dict(), config)
     print(f"isolate: status={result.status.value} d={result.d:.6g} "
           f"gamma={result.gamma:.6g} excited={list(result.excited_indices)}")
@@ -172,9 +172,7 @@ def cmd_simulate(config: RunConfig, out: str) -> int:
         A = assemble_stiffness(mesh)
     else:
         spectrum, M, A = _compute_spectrum(config, mesh)
-        model = config.kinetics.build()
-        J = jacobian(model, steady_state(model))
-        result = _isolation_result(config, spectrum, J)
+        result = _isolation_result(config, spectrum)
         if result.status is IsolationStatus.FAILED:
             print("simulate: isolation failed, no (d, gamma) available",
                   file=sys.stderr)
@@ -186,8 +184,18 @@ def cmd_simulate(config: RunConfig, out: str) -> int:
         else EXIT_COMPUTE
 
 
+def _match(config: RunConfig, u: np.ndarray, spectrum: Spectrum, M,
+           out: str) -> tuple[MatchReport, int]:
+    """Write match.json; the exit code says whether the threshold is met."""
+    report = match_pattern(u, spectrum, M,
+                           cluster_gap=config.match["cluster_gap"])
+    _write_json(os.path.join(out, "match.json"), report.as_dict(), config)
+    code = EXIT_MATCH if report.correlation < config.match["threshold"] \
+        else EXIT_OK
+    return report, code
+
+
 def cmd_match(config: RunConfig, out: str) -> int:
-    from .meshio import read_vtk
     mesh = config.mesh.build()
     final_path = os.path.join(out, "final_state.vtk")
     if not os.path.exists(final_path):
@@ -196,20 +204,17 @@ def cmd_match(config: RunConfig, out: str) -> int:
         return EXIT_COMPUTE
     _, fields = read_vtk(final_path)
     spectrum, M, _ = _compute_spectrum(config, mesh)
-    report = match_pattern(fields["u"], spectrum, M,
-                           cluster_gap=config.match["cluster_gap"])
-    _write_json(os.path.join(out, "match.json"), report.as_dict(), config)
+    report, code = _match(config, fields["u"], spectrum, M, out)
     print(f"match: best_index={report.best_index} "
-          f"correlation={report.correlation:.4f}")
-    return EXIT_OK
+          f"correlation={report.correlation:.4f} "
+          f"(threshold {config.match['threshold']})")
+    return code
 
 
 def cmd_pipeline(config: RunConfig, out: str) -> int:
     mesh = config.mesh.build()
     spectrum, M, A = _compute_spectrum(config, mesh)
-    model = config.kinetics.build()
-    J = jacobian(model, steady_state(model))
-    result = _isolation_result(config, spectrum, J)
+    result = _isolation_result(config, spectrum)
     _write_json(os.path.join(out, "isolation.json"), result.as_dict(), config)
     if result.status is IsolationStatus.FAILED:
         print("pipeline: isolation failed", file=sys.stderr)
@@ -219,16 +224,11 @@ def cmd_pipeline(config: RunConfig, out: str) -> int:
         print(f"pipeline: simulation ended with {outcome.status.value}",
               file=sys.stderr)
         return EXIT_COMPUTE
-    report = match_pattern(outcome.u, spectrum, M,
-                           cluster_gap=config.match["cluster_gap"])
-    _write_json(os.path.join(out, "match.json"), report.as_dict(), config)
-    threshold = config.match["threshold"]
+    report, code = _match(config, outcome.u, spectrum, M, out)
     print(f"pipeline: status={result.status.value} d={result.d:.6g} "
           f"gamma={result.gamma:.6g} correlation={report.correlation:.4f} "
-          f"(threshold {threshold})")
-    if report.correlation < threshold:
-        return EXIT_MATCH
-    return EXIT_OK
+          f"(threshold {config.match['threshold']})")
+    return code
 
 
 _COMMANDS = {
@@ -261,11 +261,11 @@ def main(argv: list[str] | None = None) -> int:
                 eigensolver={**config.eigensolver, "seed": args.seed},
                 simulation={**config.simulation, "seed": args.seed})
         out = _ensure_out(config, args.out)
+        return _COMMANDS[args.command](config, out)
     except ConfigError as exc:
+        # also raised while a command builds its mesh or kinetics model
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](config, out)
     except (EigensolverError, IsolationError, KineticsError,
             LinearSolveError, ValueError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)

@@ -68,6 +68,20 @@ def test_config_error_exit_code_and_no_outputs(tmp_path):
     assert not (tmp_path / "never").exists()
 
 
+def test_mesh_params_error_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, mesh={
+        "generator": "rectangle",
+        "params": {"lx": 1.0, "ly": 1.0, "nx": 0, "ny": 8}})
+    assert main(["mesh", "--config", str(path)]) == 2
+    assert "config error: mesh.params" in capsys.readouterr().err
+
+
+def test_kinetics_params_error_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, kinetics={"params": {"a": -1}})
+    assert main(["isolate", "--config", str(path)]) == 2
+    assert "config error: kinetics" in capsys.readouterr().err
+
+
 def test_match_before_simulate_fails(tmp_path):
     path = write_config(tmp_path)
     assert main(["match", "--config", str(path)]) == 1
@@ -88,6 +102,10 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert any(name.startswith("run_") for name in os.listdir(out_dir))
     # match subcommand reuses the saved state
     assert main(["match", "--config", str(path)]) == 0
+    # ... and enforces the threshold like the pipeline does
+    strict = write_config(tmp_path,
+                          match={"threshold": match["correlation"] + 0.01})
+    assert main(["match", "--config", str(strict)]) == 3
 
 
 def test_seed_override_changes_outputs(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -161,3 +162,39 @@ def test_simplex_measures_tetrahedron():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert simplex_measures(verts, np.array([[0, 1, 2, 3]]))[0] == \
         pytest.approx(1.0 / 6.0)
+
+
+def _sha256(array, dtype):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype)
+                          .tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("build, vertices_sha, cells_sha", [
+    (lambda: mi.generate_icosphere(3),
+     "01808161a67ffda241677940dc1d926937e4a396eb9139984da1206b5c612a83",
+     "52ba19c5cda73d335f2e29108333509a800acd29026ae2e6c65c32ec3dd5394b"),
+    (lambda: mi.generate_disk(1.0, 3),
+     "6697e69986ad061e8eb4a202cd203751dd502b443276f8f495599b0f761d58d2",
+     "c62ae873cece16a8ef3599e9f649bfc380420f2388eba6cae6674ee83861406d"),
+    (lambda: mi.generate_tube(3.0, 0.5, False, 2),
+     "316440f8f863153180e50f841778f1fc2b5f24380616bacc293ceb1bf76b7dd4",
+     "2351762899d28ba658247f6265067b9b7ffdbbbebfdc98721fee124bdc739802"),
+    (lambda: mi.map_vertices(mi.generate_icosphere(2), mi.dumbbell_map()),
+     "1aef45e47d360eb6e829f2da57f697c955bbfd828961b863f9d7fb96daea7ab5",
+     "b749ec47113ac6dd2fa5788272bee48303d83020354a7b3516876ae6685c404a"),
+], ids=["icosphere3", "disk3", "open_tube2", "dumbbell_icosphere2"])
+def test_generated_numbering_is_pinned(build, vertices_sha, cells_sha):
+    # Pins vertex numbering and coordinates bit for bit: eigenvector files
+    # and VTK snapshots are indexed by vertex, so any reordering shows here.
+    mesh = build()
+    assert _sha256(mesh.vertices, "<f8") == vertices_sha
+    assert _sha256(mesh.cells, "<i8") == cells_sha
+
+
+def test_surface_audit_rejects_three_triangle_fan():
+    # three triangles on the edge (0, 1): never an edge manifold
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [0, -1, 0]])
+    cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(MeshError):
+        mi.Mesh(verts, cells, MeshKind.SURFACE)
