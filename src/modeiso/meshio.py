@@ -3,7 +3,10 @@
 Only the subset needed by the toolkit is supported: ASCII OFF triangle
 meshes on input, VTK legacy 3.0 `DATASET UNSTRUCTURED_GRID` with scalar
 POINT_DATA on output (cell types 3, 5 and 10).  Floats are written with
-17 significant digits so a write/read round trip is bit-exact.
+17 significant digits (`%.17g`) so a write/read round trip is bit-exact.
+Each VTK block (POINTS, CELLS, CELL_TYPES, one per SCALARS field) is
+formatted with one `%` operation and parsed with one array conversion, so
+large meshes are not written or read a line at a time in Python.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ _KIND_FROM_DIM = {1: MeshKind.PLANAR, 2: MeshKind.PLANAR,
 
 class MeshIOError(ValueError):
     """Malformed mesh file or inconsistent field data."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def read_off(path: str | os.PathLike) -> Mesh:
@@ -86,11 +85,14 @@ def write_vtk(mesh: Mesh, fields: Mapping[str, np.ndarray],
               path: str | os.PathLike, comment: str = "modeiso mesh") -> None:
     """Write a VTK legacy 3.0 ASCII unstructured grid with point scalars.
 
-    Field lengths are validated before the file is opened, so a bad call
-    leaves no partial file behind.
+    Field names and lengths are validated before the file is opened, so a
+    bad call leaves no partial file behind.
     """
     arrays: dict[str, np.ndarray] = {}
     for name, values in fields.items():
+        if name.split() != [name]:
+            raise MeshIOError(f"field name {name!r} must be one non-empty "
+                              "token without whitespace")
         arr = np.asarray(values, dtype=float)
         if arr.shape != (mesh.n_vertices,):
             raise MeshIOError(
@@ -98,37 +100,39 @@ def write_vtk(mesh: Mesh, fields: Mapping[str, np.ndarray],
                 f"({mesh.n_vertices},)")
         arrays[name] = arr
 
-    points = np.zeros((mesh.n_vertices, 3))
+    nv, nc = mesh.n_vertices, mesh.n_cells
+    points = np.zeros((nv, 3))
     points[:, : mesh.embedding_dim] = mesh.vertices
-    cell_type = _VTK_CELL_TYPE[mesh.intrinsic_dim]
     npc = mesh.intrinsic_dim + 1
 
-    lines = ["# vtk DataFile Version 3.0",
-             comment.splitlines()[0][:255] if comment else "modeiso mesh",
-             "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_vertices} double"]
-    for p in points:
-        lines.append(" ".join(_fmt(c) for c in p))
-    lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells * (npc + 1)}")
-    for cell in mesh.cells:
-        lines.append(f"{npc} " + " ".join(str(int(i)) for i in cell))
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines.extend([str(cell_type)] * mesh.n_cells)
+    blocks = ["# vtk DataFile Version 3.0\n",
+              (comment.splitlines()[0][:255] if comment else "modeiso mesh")
+              + "\n",
+              "ASCII\nDATASET UNSTRUCTURED_GRID\n",
+              f"POINTS {nv} double\n",
+              ("%.17g %.17g %.17g\n" * nv) % tuple(points.ravel().tolist()),
+              f"CELLS {nc} {nc * (npc + 1)}\n",
+              ((f"{npc}" + " %d" * npc + "\n") * nc)
+              % tuple(mesh.cells.ravel().tolist()),
+              f"CELL_TYPES {nc}\n",
+              f"{_VTK_CELL_TYPE[mesh.intrinsic_dim]}\n" * nc]
     if arrays:
-        lines.append(f"POINT_DATA {mesh.n_vertices}")
+        blocks.append(f"POINT_DATA {nv}\n")
         for name, arr in arrays.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in arr)
+            blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            blocks.append(("%.17g\n" * nv) % tuple(arr.tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(blocks)
 
 
 def read_vtk(path: str | os.PathLike) -> tuple[Mesh, dict[str, np.ndarray]]:
-    """Read back the VTK subset produced by write_vtk."""
+    """Read back the VTK subset produced by write_vtk.
+
+    A truncated or malformed file raises MeshIOError naming the path, the
+    line and the block.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        lines = fh.read().splitlines()
 
     def expect(idx: int, prefix: str) -> str:
         if idx >= len(lines) or not lines[idx].startswith(prefix):
@@ -137,39 +141,78 @@ def read_vtk(path: str | os.PathLike) -> tuple[Mesh, dict[str, np.ndarray]]:
                               f"got '{got}'")
         return lines[idx]
 
+    def count(idx: int, prefix: str) -> int:
+        words = expect(idx, prefix).split()
+        if len(words) < 2 or not words[1].isdecimal():
+            raise MeshIOError(f"{path}:{idx + 1}: bad count in "
+                              f"'{lines[idx]}'")
+        return int(words[1])
+
+    def block(start: int, rows: int, width: int, dtype: type,
+              what: str) -> np.ndarray:
+        """The `rows` lines from `start`, each `width` tokens, as an array."""
+        text = lines[start:start + rows]
+        if len(text) < rows:
+            raise MeshIOError(f"{path}:{start + len(text)}: unexpected end of "
+                              f"file in {what} block ({len(text)} of {rows} "
+                              "rows)")
+        if rows and set(map(len, map(str.split, text))) != {width}:
+            bad = next(i for i, line in enumerate(text)
+                       if len(line.split()) != width)
+            raise MeshIOError(f"{path}:{start + bad + 1}: {what} row has "
+                              f"{len(text[bad].split())} values, expected "
+                              f"{width}")
+        try:
+            values = np.array(" ".join(text).split(), dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            raise MeshIOError(f"{path}:{start + 1}: bad value in {what} "
+                              f"block: {exc}") from None
+        return values.reshape(rows, width)
+
     expect(0, "# vtk DataFile")
     expect(2, "ASCII")
     expect(3, "DATASET UNSTRUCTURED_GRID")
-    header = expect(4, "POINTS").split()
-    nv = int(header[1])
-    points = np.array([[float(t) for t in lines[5 + i].split()]
-                       for i in range(nv)])
+    nv = count(4, "POINTS")
+    points = block(5, nv, 3, float, "POINTS")
     idx = 5 + nv
-    header = expect(idx, "CELLS").split()
-    nc = int(header[1])
-    raw = [lines[idx + 1 + i].split() for i in range(nc)]
-    npc = int(raw[0][0])
-    cells = np.array([[int(t) for t in row[1:]] for row in raw],
-                     dtype=np.intp)
+    nc = count(idx, "CELLS")
+    if nc == 0:
+        raise MeshIOError(f"{path}:{idx + 1}: CELLS block is empty")
+    # every row is as wide as the first and starts with its vertex count
+    first = lines[idx + 1].split() if idx + 1 < len(lines) else []
+    npc = max(len(first) - 1, 1)
+    raw = block(idx + 1, nc, npc + 1, np.intp, "CELLS")
+    wrong = np.flatnonzero(raw[:, 0] != npc)
+    if wrong.size:
+        raise MeshIOError(f"{path}:{idx + 2 + wrong[0]}: CELLS row starts "
+                          f"with count {raw[wrong[0], 0]}, expected {npc}")
+    cells = raw[:, 1:]
     idx += 1 + nc
     expect(idx, "CELL_TYPES")
-    cell_type = int(lines[idx + 1])
+    cell_type = _VTK_CELL_TYPE.get(npc - 1)
+    types = block(idx + 1, nc, 1, np.intp, "CELL_TYPES")
+    if cell_type is None or (types != cell_type).any():
+        raise MeshIOError(f"{path}:{idx + 2}: CELL_TYPES do not match "
+                          f"{npc}-vertex cells")
     idx += 1 + nc
     fields: dict[str, np.ndarray] = {}
     if idx < len(lines) and lines[idx].startswith("POINT_DATA"):
         idx += 1
         while idx < len(lines) and lines[idx].startswith("SCALARS"):
-            name = lines[idx].split()[1]
+            words = lines[idx].split()
+            if len(words) < 2:
+                raise MeshIOError(f"{path}:{idx + 1}: SCALARS without a name")
+            name = words[1]
             expect(idx + 1, "LOOKUP_TABLE")
-            vals = np.array([float(lines[idx + 2 + i]) for i in range(nv)])
-            fields[name] = vals
+            fields[name] = block(idx + 2, nv, 1, float,
+                                 f"SCALARS {name}")[:, 0]
             idx += 2 + nv
 
     if cell_type == 10:
         kind = MeshKind.VOLUMETRIC
     elif cell_type == 5:
-        kind = MeshKind.SURFACE if npc == 3 and not np.allclose(
-            points[:, 2], 0.0) else MeshKind.PLANAR
+        kind = MeshKind.SURFACE if not np.allclose(points[:, 2], 0.0) \
+            else MeshKind.PLANAR
     else:
         kind = MeshKind.PLANAR
     embed = {3: 1, 5: 2, 10: 3}[cell_type]

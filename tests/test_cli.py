@@ -87,6 +87,17 @@ def test_match_before_simulate_fails(tmp_path):
     assert main(["match", "--config", str(path)]) == 1
 
 
+def test_match_on_truncated_state_is_an_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["mesh", "--config", str(path)]) == 0
+    lines = (tmp_path / "out" / "mesh.vtk").read_text().splitlines()
+    (tmp_path / "out" / "final_state.vtk").write_text(
+        "\n".join(lines[:10]) + "\n")
+    capsys.readouterr()
+    assert main(["match", "--config", str(path)]) == 1
+    assert "error [match]:" in capsys.readouterr().err
+
+
 def test_pipeline_end_to_end(tmp_path, capsys):
     path = write_config(tmp_path)
     code = main(["pipeline", "--config", str(path)])

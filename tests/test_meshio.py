@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,109 @@ def test_vtk_header_comment(tmp_path):
     assert lines[0] == "# vtk DataFile Version 3.0"
     assert lines[1] == "run 42"
     assert lines[2] == "ASCII"
+
+
+def test_write_vtk_rejects_bad_field_name_before_writing(tmp_path):
+    mesh = mi.generate_interval(1.0, 3)
+    path = tmp_path / "never.vtk"
+    for name in ["", "a b", "u\tv", "w\n"]:
+        with pytest.raises(MeshIOError, match="field name"):
+            write_vtk(mesh, {name: np.zeros(mesh.n_vertices)}, path)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("build, sha", [
+    (lambda: mi.generate_interval(1.0, 5),
+     "e5597fb9cbae5f456f7c965a2d48d24349d31d9bdafec9a2ccfa4622315403d6"),
+    (lambda: mi.generate_rectangle(1.0, 2.0, 3, 2),
+     "71172ecae32cfec1b9ff23b96aa8c5cb55880cc33e655acd29412128f98d5748"),
+    (lambda: mi.generate_icosphere(2),
+     "cd509958691a5477a9da3b9c12039ad22670a572f42ca47f1d2e637ea2316c33"),
+    (lambda: mi.generate_ball(0),
+     "c7a14f98f0a0eef7aa307b7c0bb739c03315b505c730f2d6c48f253558ee01e7"),
+], ids=["interval5", "rectangle3x2", "icosphere2", "ball0"])
+def test_vtk_bytes_are_pinned(build, sha, tmp_path):
+    # Pins the written text byte for byte: every value is '%.17g' and every
+    # index '%d', including signed zero, extreme exponents and whole floats.
+    mesh = build()
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(mesh.n_vertices)
+    u[:4] = [-0.0, 1e-300, 1e300, 7.0]
+    path = tmp_path / "pinned.vtk"
+    write_vtk(mesh, {"u": u, "v": rng.random(mesh.n_vertices)}, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def _rectangle_vtk(tmp_path):
+    mesh = mi.generate_rectangle(1.0, 1.0, 2, 2)
+    path = tmp_path / "rect.vtk"
+    write_vtk(mesh, {"u": np.arange(mesh.n_vertices, dtype=float)}, path)
+    return path, path.read_text().splitlines()
+
+
+def _rewrite(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_read_vtk_truncated_points(tmp_path):
+    path, lines = _rectangle_vtk(tmp_path)
+    _rewrite(path, lines[:8])  # header + 3 of 9 point rows
+    with pytest.raises(MeshIOError, match=r"rect\.vtk.*POINTS"):
+        read_vtk(path)
+
+
+def test_read_vtk_truncated_scalars(tmp_path):
+    path, lines = _rectangle_vtk(tmp_path)
+    _rewrite(path, lines[:-3])
+    with pytest.raises(MeshIOError, match=r"rect\.vtk.*SCALARS u"):
+        read_vtk(path)
+
+
+def test_read_vtk_short_point_row(tmp_path):
+    path, lines = _rectangle_vtk(tmp_path)
+    lines[6] = "0.5 0"
+    _rewrite(path, lines)
+    with pytest.raises(MeshIOError, match=r"rect\.vtk.*POINTS"):
+        read_vtk(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: row + " 3",              # a 4-vertex cell among triangles
+    lambda row: "2" + row[1:],           # leading count differs, same indices
+    lambda row: row.rsplit(" ", 1)[0],   # an index missing
+], ids=["extra_index", "wrong_count", "short_row"])
+def test_read_vtk_inconsistent_cell_row(tmp_path, edit):
+    path, lines = _rectangle_vtk(tmp_path)
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("CELLS")) + 3
+    lines[row] = edit(lines[row])
+    _rewrite(path, lines)
+    with pytest.raises(MeshIOError, match=r"rect\.vtk.*CELLS"):
+        read_vtk(path)
+
+
+def test_read_vtk_any_truncation_is_a_mesh_io_error(tmp_path):
+    path, lines = _rectangle_vtk(tmp_path)
+    for keep in range(len(lines)):
+        _rewrite(path, lines[:keep])
+        try:
+            read_vtk(path)  # a cut between whole blocks is a valid file
+        except MeshIOError as exc:
+            assert "rect.vtk" in str(exc)
+
+
+@pytest.mark.parametrize("block, offset, value", [
+    ("SCALARS", 2, "nan?"),
+    ("CELLS", 1, "3 0 1.5 4"),
+    ("CELLS", 1, "3 0 1 99999999999999999999"),
+    ("CELL_TYPES", 1, "7"),
+    ("POINTS", 0, "POINTS many double"),
+], ids=["scalar_word", "fractional_index", "huge_index", "cell_type",
+        "header_count"])
+def test_read_vtk_bad_token_names_block(tmp_path, block, offset, value):
+    path, lines = _rectangle_vtk(tmp_path)
+    row = next(i for i, ln in enumerate(lines)
+               if ln.split()[0] == block) + offset
+    lines[row] = value
+    _rewrite(path, lines)
+    with pytest.raises(MeshIOError, match=rf"rect\.vtk.*{block}"):
+        read_vtk(path)
