@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 import modeiso as mi
-from modeiso.kinetics import jacobian, steady_state, wavenumber_window
+from modeiso.kinetics import wavenumber_window
 from modeiso.reference_spectra import eigenvalue_array, sphere_bulk_spectrum
 
 PAIRS = {
@@ -22,7 +22,8 @@ def main() -> None:
     bulk_k = np.sqrt(eigenvalue_array(sphere_bulk_spectrum(40)))
     for name, pairs in PAIRS.items():
         model = mi.make_model(name)
-        J = jacobian(model, steady_state(model))
+        state = model.steady_state()
+        J = model.jacobian(state.u, state.v)
         print(f"\n{name}  (d_c = {mi.critical_diffusion_ratio(J):.4f})")
         print(f"{'d':>6} {'gamma':>7} {'k-':>8} {'k+':>8}  excited k")
         for d, g in pairs:

@@ -17,8 +17,8 @@ from .isolation import (IsolationError, IsolationResult, IsolationStatus,
                         isolate_mode, verify_isolation)
 from .kinetics import (Jacobian2x2, KineticsError, KineticsModel, SteadyState,
                        TuringReport, critical_diffusion_ratio, dispersion,
-                       gierer_meinhardt, jacobian, make_model, schnakenberg,
-                       steady_state, thomas, turing_check, wavenumber_window)
+                       gierer_meinhardt, make_model, schnakenberg, thomas,
+                       turing_check, wavenumber_window)
 from .mesh import (DEFORMATION_PRESETS, Mesh, MeshError, MeshKind,
                    dumbbell_map, ellipse_map, fish_map, generate_ball,
                    generate_disk, generate_icosphere, generate_interval,

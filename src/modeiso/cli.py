@@ -1,6 +1,10 @@
 """Command line pipeline: mesh -> eigs -> isolate -> simulate -> match.
 
-Each subcommand reads the same YAML run configuration.  Outputs are
+Each subcommand reads the same YAML run configuration and is one stage
+over a `Run`, which builds the mesh, the matrices, the spectrum, the
+kinetics Jacobian and the isolation result on first use, each at most
+once.  `pipeline` runs the isolate, simulate and match stages over one
+`Run`; it writes no mesh.vtk or eigenvalues.csv.  Outputs are
 deterministic for fixed seeds: CSV/JSON byte-identical across reruns,
 VTK identical up to the documented float formatting.
 
@@ -15,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -23,10 +28,10 @@ from .eigensolver import EigensolverError, Spectrum, smallest_eigenpairs
 from .fem import assemble_mass, assemble_stiffness
 from .isolation import (IsolationError, IsolationResult, IsolationStatus,
                         isolate_mode, verify_isolation)
-from .kinetics import (KineticsError, critical_diffusion_ratio, jacobian,
-                       steady_state, wavenumber_window)
+from .kinetics import (Jacobian2x2, KineticsError, critical_diffusion_ratio,
+                       wavenumber_window)
 from .meshio import read_vtk, write_vtk
-from .pattern_metrics import MatchReport, match_pattern
+from .pattern_metrics import match_pattern
 from .simulator import SimulationConfig, SimulationStatus, simulate
 from .solvers import LinearSolveError
 
@@ -36,198 +41,192 @@ EXIT_CONFIG = 2
 EXIT_MATCH = 3
 
 
+class StageError(RuntimeError):
+    """A stage's input is missing: no saved state or no (d, gamma)."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _meta_line(config: RunConfig) -> str:
-    return (f"config_sha256={config.digest()} "
-            f"eig_seed={config.eigensolver['seed']} "
-            f"sim_seed={config.simulation['seed']}")
+class Run:
+    """One invocation: the config, the output directory and every
+    intermediate result, each computed on first use."""
+
+    def __init__(self, config: RunConfig, out: str):
+        self.config = config
+        self.out = out
+        self.meta = (f"config_sha256={config.digest()} "
+                     f"eig_seed={config.eigensolver['seed']} "
+                     f"sim_seed={config.simulation['seed']}")
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.out, name)
+
+    @cached_property
+    def mesh(self):
+        return self.config.mesh.build()
+
+    @cached_property
+    def M(self):
+        return assemble_mass(self.mesh)
+
+    @cached_property
+    def A(self):
+        return assemble_stiffness(self.mesh)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        M, A = self.M, self.A
+        eig = self.config.eigensolver
+        return smallest_eigenpairs(A, M, count=eig["count"], tol=eig["tol"],
+                                   seed=eig["seed"])
+
+    @cached_property
+    def model(self):
+        return self.config.kinetics.build()
+
+    @cached_property
+    def J(self) -> Jacobian2x2:
+        state = self.model.steady_state()
+        return self.model.jacobian(state.u, state.v)
+
+    @property
+    def explicit_pair(self) -> tuple[float, float] | None:
+        """The config's (d, gamma), or None when the search finds them:
+        the one place that tells the two apart."""
+        iso = self.config.isolation
+        if iso["target_index"] is not None:
+            return None
+        return iso["d"], iso["gamma"]
+
+    @cached_property
+    def isolation(self) -> IsolationResult:
+        """The search's result, or the explicit pair and what it excites."""
+        iso = self.config.isolation
+        if self.explicit_pair is None:
+            return isolate_mode(self.spectrum, iso["target_index"], self.J,
+                                gamma0=iso["gamma0"], eps0=iso["eps0"],
+                                max_iters=iso["max_iters"],
+                                delta=iso["delta"])
+        d, gamma = self.explicit_pair
+        excited = verify_isolation(self.spectrum, self.J, d, gamma)
+        status = (IsolationStatus.UNIQUE if len(excited) == 1
+                  else IsolationStatus.CLUSTERED if excited
+                  else IsolationStatus.FAILED)
+        return IsolationResult(status, d, gamma,
+                               wavenumber_window(self.J, d, gamma),
+                               tuple(excited),
+                               critical_diffusion_ratio(self.J))
+
+    @property
+    def pair(self) -> tuple[float, float]:
+        """(d, gamma) to simulate with; an explicit pair needs no spectrum."""
+        if self.explicit_pair is not None:
+            return self.explicit_pair
+        if self.isolation.status is IsolationStatus.FAILED:
+            raise StageError("isolation failed, no (d, gamma) available")
+        return self.isolation.d, self.isolation.gamma
+
+    @cached_property
+    def final_u(self) -> np.ndarray:
+        """The grown u: set by the simulate stage, else read back from
+        the final_state.vtk an earlier run wrote."""
+        path = self.path("final_state.vtk")
+        if not os.path.exists(path):
+            raise StageError(f"no simulation output at {path}; "
+                             "run 'simulate' first")
+        _, fields = read_vtk(path)
+        if "u" not in fields or not np.isfinite(fields["u"]).all():
+            raise StageError(f"{path} has no finite 'u' field")
+        return fields["u"]
+
+    def write_json(self, name: str, payload: dict) -> None:
+        with open(self.path(name), "w") as fh:
+            json.dump({"_meta": self.meta, **payload}, fh, indent=2,
+                      sort_keys=True)
+            fh.write("\n")
+
+    def write_csv(self, name: str, header: str, rows) -> None:
+        with open(self.path(name), "w") as fh:
+            fh.write(f"# {self.meta}\n{header}\n")
+            fh.writelines(f"{row}\n" for row in rows)
 
 
-def _write_json(path: str, payload: dict, config: RunConfig) -> None:
-    payload = {"_meta": _meta_line(config), **payload}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _ensure_out(config: RunConfig, override: str | None) -> str:
-    out = override or config.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def cmd_mesh(config: RunConfig, out: str) -> int:
-    mesh = config.mesh.build()
-    write_vtk(mesh, {}, os.path.join(out, "mesh.vtk"),
-              comment=_meta_line(config))
+def cmd_mesh(run: Run) -> int:
+    mesh = run.mesh
+    write_vtk(mesh, {}, run.path("mesh.vtk"), comment=run.meta)
     print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_cells} cells "
           f"({mesh.kind.value}, intrinsic dim {mesh.intrinsic_dim})")
     return EXIT_OK
 
 
-def _compute_spectrum(config: RunConfig, mesh) -> tuple[Spectrum, object, object]:
-    M = assemble_mass(mesh)
-    A = assemble_stiffness(mesh)
-    eig = config.eigensolver
-    spectrum = smallest_eigenpairs(A, M, count=eig["count"], tol=eig["tol"],
-                                   seed=eig["seed"])
-    return spectrum, M, A
-
-
-def cmd_eigs(config: RunConfig, out: str) -> int:
-    mesh = config.mesh.build()
-    spectrum, _, _ = _compute_spectrum(config, mesh)
-    csv_path = os.path.join(out, "eigenvalues.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(f"# {_meta_line(config)}\n")
-        fh.write("index,lambda,residual\n")
-        for i, (lam, res) in enumerate(zip(spectrum.eigenvalues,
-                                           spectrum.residuals)):
-            fh.write(f"{i},{_fmt(lam)},{_fmt(res)}\n")
+def cmd_eigs(run: Run) -> int:
+    spectrum = run.spectrum
+    run.write_csv("eigenvalues.csv", "index,lambda,residual",
+                  (f"{i},{_fmt(lam)},{_fmt(res)}" for i, (lam, res)
+                   in enumerate(zip(spectrum.eigenvalues,
+                                    spectrum.residuals))))
     fields = {f"ev_{i:03d}": spectrum.vectors[:, i]
               for i in range(len(spectrum))}
-    write_vtk(mesh, fields, os.path.join(out, "eigenvectors.vtk"),
-              comment=_meta_line(config))
-    print(f"eigs: wrote {len(spectrum)} pairs to {csv_path}")
+    write_vtk(run.mesh, fields, run.path("eigenvectors.vtk"),
+              comment=run.meta)
+    print(f"eigs: wrote {len(spectrum)} pairs to "
+          f"{run.path('eigenvalues.csv')}")
     return EXIT_OK
 
 
-def _isolation_result(config: RunConfig,
-                      spectrum: Spectrum) -> IsolationResult:
-    model = config.kinetics.build()
-    J = jacobian(model, steady_state(model))
-    iso = config.isolation
-    if iso["target_index"] is None:
-        d, gamma = iso["d"], iso["gamma"]
-        excited = verify_isolation(spectrum, J, d, gamma)
-        status = (IsolationStatus.UNIQUE if len(excited) == 1
-                  else IsolationStatus.CLUSTERED if excited
-                  else IsolationStatus.FAILED)
-        return IsolationResult(status, d, gamma,
-                               wavenumber_window(J, d, gamma),
-                               tuple(excited), critical_diffusion_ratio(J))
-    return isolate_mode(spectrum, iso["target_index"], J,
-                        gamma0=iso["gamma0"], eps0=iso["eps0"],
-                        max_iters=iso["max_iters"], delta=iso["delta"])
-
-
-def cmd_isolate(config: RunConfig, out: str) -> int:
-    mesh = config.mesh.build()
-    spectrum, _, _ = _compute_spectrum(config, mesh)
-    result = _isolation_result(config, spectrum)
-    _write_json(os.path.join(out, "isolation.json"), result.as_dict(), config)
+def cmd_isolate(run: Run) -> int:
+    result = run.isolation
+    run.write_json("isolation.json", result.as_dict())
     print(f"isolate: status={result.status.value} d={result.d:.6g} "
           f"gamma={result.gamma:.6g} excited={list(result.excited_indices)}")
-    return EXIT_OK if result.status is not IsolationStatus.FAILED \
-        else EXIT_COMPUTE
+    return EXIT_COMPUTE if result.status is IsolationStatus.FAILED else EXIT_OK
 
 
-def _run_simulation(config: RunConfig, mesh, M, A, d: float, gamma: float,
-                    out: str):
-    model = config.kinetics.build()
-    sim = config.simulation
-    sim_config = SimulationConfig(model=model, d=d, gamma=gamma,
-                                  tau=sim["tau"], stop_tol=sim["stop_tol"],
-                                  max_time=sim["max_time"], seed=sim["seed"],
-                                  amplitude=sim["amplitude"],
-                                  snapshot_stride=sim["snapshot_stride"])
-
+def cmd_simulate(run: Run) -> int:
+    d, gamma = run.pair
+    sim_config = SimulationConfig(model=run.model, d=d, gamma=gamma,
+                                  **run.config.simulation)
     snapshots: list[int] = []
 
     def callback(step: int, t: float, u: np.ndarray, v: np.ndarray) -> None:
-        index = len(snapshots)
-        write_vtk(mesh, {"u": u, "v": v},
-                  os.path.join(out, f"run_{index:04d}.vtk"),
-                  comment=_meta_line(config))
+        write_vtk(run.mesh, {"u": u, "v": v},
+                  run.path(f"run_{len(snapshots):04d}.vtk"), comment=run.meta)
         snapshots.append(step)
 
-    outcome = simulate(mesh, sim_config, M=M, A=A,
+    outcome = simulate(run.mesh, sim_config, M=run.M, A=run.A,
                        snapshot_callback=callback)
-    hist_path = os.path.join(out, "derivative_history.csv")
-    with open(hist_path, "w") as fh:
-        fh.write(f"# {_meta_line(config)}\n")
-        fh.write("t,derivative_norm\n")
-        for t, norm in outcome.history:
-            fh.write(f"{_fmt(t)},{_fmt(norm)}\n")
-    write_vtk(mesh, {"u": outcome.u, "v": outcome.v},
-              os.path.join(out, "final_state.vtk"),
-              comment=_meta_line(config))
-    _write_json(os.path.join(out, "outcome.json"),
-                {"status": outcome.status.value,
-                 "elapsed": outcome.elapsed,
-                 "d": d, "gamma": gamma,
-                 "snapshots": len(snapshots)}, config)
-    return outcome
-
-
-def cmd_simulate(config: RunConfig, out: str) -> int:
-    mesh = config.mesh.build()
-    iso = config.isolation
-    if iso["d"] is not None and iso["gamma"] is not None:
-        d, gamma = iso["d"], iso["gamma"]
-        M = assemble_mass(mesh)
-        A = assemble_stiffness(mesh)
-    else:
-        spectrum, M, A = _compute_spectrum(config, mesh)
-        result = _isolation_result(config, spectrum)
-        if result.status is IsolationStatus.FAILED:
-            print("simulate: isolation failed, no (d, gamma) available",
-                  file=sys.stderr)
-            return EXIT_COMPUTE
-        d, gamma = result.d, result.gamma
-    outcome = _run_simulation(config, mesh, M, A, d, gamma, out)
+    run.write_csv("derivative_history.csv", "t,derivative_norm",
+                  (f"{_fmt(t)},{_fmt(norm)}" for t, norm in outcome.history))
+    write_vtk(run.mesh, {"u": outcome.u, "v": outcome.v},
+              run.path("final_state.vtk"), comment=run.meta)
+    run.write_json("outcome.json",
+                   {"status": outcome.status.value, "elapsed": outcome.elapsed,
+                    "d": d, "gamma": gamma, "snapshots": len(snapshots)})
+    run.final_u = outcome.u
     print(f"simulate: status={outcome.status.value} t={outcome.elapsed:.4g}")
     return EXIT_OK if outcome.status is SimulationStatus.CONVERGED \
         else EXIT_COMPUTE
 
 
-def _match(config: RunConfig, u: np.ndarray, spectrum: Spectrum, M,
-           out: str) -> tuple[MatchReport, int]:
+def cmd_match(run: Run) -> int:
     """Write match.json; the exit code says whether the threshold is met."""
-    report = match_pattern(u, spectrum, M,
-                           cluster_gap=config.match["cluster_gap"])
-    _write_json(os.path.join(out, "match.json"), report.as_dict(), config)
-    code = EXIT_MATCH if report.correlation < config.match["threshold"] \
-        else EXIT_OK
-    return report, code
-
-
-def cmd_match(config: RunConfig, out: str) -> int:
-    mesh = config.mesh.build()
-    final_path = os.path.join(out, "final_state.vtk")
-    if not os.path.exists(final_path):
-        print(f"match: no simulation output at {final_path}; "
-              "run 'simulate' first", file=sys.stderr)
-        return EXIT_COMPUTE
-    _, fields = read_vtk(final_path)
-    spectrum, M, _ = _compute_spectrum(config, mesh)
-    report, code = _match(config, fields["u"], spectrum, M, out)
+    match = run.config.match
+    report = match_pattern(run.final_u, run.spectrum, run.M,
+                           cluster_gap=match["cluster_gap"])
+    run.write_json("match.json", report.as_dict())
     print(f"match: best_index={report.best_index} "
           f"correlation={report.correlation:.4f} "
-          f"(threshold {config.match['threshold']})")
-    return code
+          f"(threshold {match['threshold']})")
+    return EXIT_MATCH if report.correlation < match["threshold"] else EXIT_OK
 
 
-def cmd_pipeline(config: RunConfig, out: str) -> int:
-    mesh = config.mesh.build()
-    spectrum, M, A = _compute_spectrum(config, mesh)
-    result = _isolation_result(config, spectrum)
-    _write_json(os.path.join(out, "isolation.json"), result.as_dict(), config)
-    if result.status is IsolationStatus.FAILED:
-        print("pipeline: isolation failed", file=sys.stderr)
-        return EXIT_COMPUTE
-    outcome = _run_simulation(config, mesh, M, A, result.d, result.gamma, out)
-    if outcome.status is not SimulationStatus.CONVERGED:
-        print(f"pipeline: simulation ended with {outcome.status.value}",
-              file=sys.stderr)
-        return EXIT_COMPUTE
-    report, code = _match(config, outcome.u, spectrum, M, out)
-    print(f"pipeline: status={result.status.value} d={result.d:.6g} "
-          f"gamma={result.gamma:.6g} correlation={report.correlation:.4f} "
-          f"(threshold {config.match['threshold']})")
+def cmd_pipeline(run: Run) -> int:
+    for stage in (cmd_isolate, cmd_simulate, cmd_match):
+        code = stage(run)
+        if code != EXIT_OK:
+            break
     return code
 
 
@@ -260,14 +259,15 @@ def main(argv: list[str] | None = None) -> int:
                 config,
                 eigensolver={**config.eigensolver, "seed": args.seed},
                 simulation={**config.simulation, "seed": args.seed})
-        out = _ensure_out(config, args.out)
-        return _COMMANDS[args.command](config, out)
+        out = args.out or config.output_dir
+        os.makedirs(out, exist_ok=True)
+        return _COMMANDS[args.command](Run(config, out))
     except ConfigError as exc:
-        # also raised while a command builds its mesh or kinetics model
+        # also raised while a stage builds its mesh or kinetics model
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EigensolverError, IsolationError, KineticsError,
-            LinearSolveError, ValueError) as exc:
+            LinearSolveError, StageError, ValueError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -163,10 +163,10 @@ class RunConfig:
         if iso["target_index"] is not None \
                 and not isinstance(iso["target_index"], int):
             raise ConfigError("isolation.target_index: expected an integer")
-        if iso["target_index"] is None and (iso["d"] is None
-                                            or iso["gamma"] is None):
-            raise ConfigError("isolation: give either target_index or an "
-                              "explicit (d, gamma) pair")
+        given = [iso[k] is not None for k in ("target_index", "d", "gamma")]
+        if given not in ([True, False, False], [False, True, True]):
+            raise ConfigError("isolation: exactly one of 'target_index' and "
+                              "the explicit (d, gamma) pair is required")
         sim = _parse_scalar_section(
             data.get("simulation"), "simulation",
             {"tau": 1e-3, "stop_tol": 1e-4, "max_time": 100.0, "seed": 1,

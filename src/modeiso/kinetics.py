@@ -3,6 +3,7 @@ admissible wavenumber window.
 
 Three classical models are built in: Schnakenberg (activator-depleted),
 Gierer-Meinhardt (activator-inhibitor) and Thomas (substrate inhibition).
+Each model carries its own analytic Jacobian and uniform steady state.
 Note on the Schnakenberg constants: with the standard defaults
 a = 0.9, b = 0.1 the uniform state is (1, 0.9), which requires the
 constant production `b` in the u-equation and `a` in the v-equation:
@@ -68,10 +69,15 @@ class TuringReport:
 
 @dataclass(frozen=True)
 class KineticsModel:
+    """Reaction terms (f, g), their uniform `steady_state()` and their
+    `jacobian(u, v)`, which is elementwise: on nodal arrays u, v each
+    `Jacobian2x2` field broadcasts against them."""
     name: str
     params: dict[str, float]
     f: Callable
     g: Callable
+    jacobian: Callable[..., Jacobian2x2]
+    steady_state: Callable[[], SteadyState]
 
 
 def schnakenberg(a: float = 0.9, b: float = 0.1) -> KineticsModel:
@@ -84,7 +90,16 @@ def schnakenberg(a: float = 0.9, b: float = 0.1) -> KineticsModel:
     def g(u, v):
         return a - u * u * v
 
-    return KineticsModel("schnakenberg", {"a": a, "b": b}, f, g)
+    def jacobian(u, v):
+        return Jacobian2x2(f_u=-1.0 + 2.0 * u * v, f_v=u * u,
+                           g_u=-2.0 * u * v, g_v=-u * u)
+
+    def steady_state():
+        u = a + b
+        return SteadyState(u, a / (u * u))
+
+    return KineticsModel("schnakenberg", {"a": a, "b": b}, f, g, jacobian,
+                         steady_state)
 
 
 def gierer_meinhardt(a: float = 0.1, b: float = 1.0,
@@ -98,7 +113,17 @@ def gierer_meinhardt(a: float = 0.1, b: float = 1.0,
     def g(u, v):
         return u * u - v
 
-    return KineticsModel("gierer_meinhardt", {"a": a, "b": b, "k": k}, f, g)
+    def jacobian(u, v):
+        denom = 1.0 + k * u * u
+        return Jacobian2x2(f_u=-b + 2.0 * u / (v * denom * denom),
+                           f_v=-u * u / (v * v * denom),
+                           g_u=2.0 * u, g_v=-1.0)
+
+    def steady_state():
+        return _newton_2d(f, g, jacobian, 1.0, 1.0)
+
+    return KineticsModel("gierer_meinhardt", {"a": a, "b": b, "k": k}, f, g,
+                         jacobian, steady_state)
 
 
 def thomas(a: float = 150.0, b: float = 100.0, K: float = 0.05,
@@ -115,9 +140,42 @@ def thomas(a: float = 150.0, b: float = 100.0, K: float = 0.05,
     def g(u, v):
         return alpha * b - alpha * v - h(u, v)
 
+    def jacobian(u, v):
+        denom = 1.0 + u + K * u * u
+        h_u = rho * v * (1.0 - K * u * u) / (denom * denom)
+        h_v = rho * u / denom
+        return Jacobian2x2(f_u=-1.0 - h_u, f_v=-h_v,
+                           g_u=-h_u, g_v=-alpha - h_v)
+
+    def u_of_v(v: float) -> float:
+        # f - g eliminates the shared inhibition term
+        return a - alpha * b + alpha * v
+
+    def steady_state():
+        """Newton on f(u(v), v) = 0, a scalar equation in v."""
+        v = b / 4.0
+        for _ in range(100):
+            u = u_of_v(v)
+            fu = f(u, v)
+            if abs(fu) / max(1.0, abs(u)) < STEADY_STATE_TOL:
+                return SteadyState(u, v)
+            J = jacobian(u, v)
+            slope = J.f_u * alpha + J.f_v
+            if slope == 0.0:
+                raise KineticsError("flat residual in Thomas Newton solve")
+            dv = -fu / slope
+            step = 1.0
+            for _ in range(40):
+                vn = v + step * dv
+                if vn > 0 and abs(f(u_of_v(vn), vn)) < abs(fu):
+                    break
+                step *= 0.5
+            v += step * dv
+        raise KineticsError("Thomas Newton failed to converge")
+
     return KineticsModel("thomas",
                          {"a": a, "b": b, "K": K, "alpha": alpha, "rho": rho},
-                         f, g)
+                         f, g, jacobian, steady_state)
 
 
 MODEL_BUILDERS = {
@@ -136,101 +194,36 @@ def make_model(name: str, **params: float) -> KineticsModel:
     return builder(**params)
 
 
-def _residual(model: KineticsModel, u: float, v: float) -> float:
-    scale = max(1.0, abs(u))
-    return max(abs(model.f(u, v)), abs(model.g(u, v))) / scale
-
-
-def _newton_2d(model: KineticsModel, u0: float, v0: float) -> SteadyState:
+def _newton_2d(f: Callable, g: Callable, jacobian: Callable,
+               u0: float, v0: float) -> SteadyState:
     """Damped Newton on (f, g) = 0."""
+
+    def residual(u: float, v: float) -> float:
+        return max(abs(f(u, v)), abs(g(u, v))) / max(1.0, abs(u))
+
     u, v = u0, v0
     for _ in range(100):
-        res = _residual(model, u, v)
+        res = residual(u, v)
         if res < STEADY_STATE_TOL:
             return SteadyState(u, v)
-        J = jacobian_at(model, u, v)
+        J = jacobian(u, v)
         det = J.det
         if det == 0.0:
             raise KineticsError("singular Jacobian in Newton iteration")
-        fu, gv = model.f(u, v), model.g(u, v)
+        fu, gv = f(u, v), g(u, v)
         du = -(J.g_v * fu - J.f_v * gv) / det
         dv = -(-J.g_u * fu + J.f_u * gv) / det
         step = 1.0
         for _ in range(40):
             un, vn = u + step * du, v + step * dv
-            if un > 0 and vn > 0 and _residual(model, un, vn) < res:
+            if un > 0 and vn > 0 and residual(un, vn) < res:
                 break
             step *= 0.5
         u, v = u + step * du, v + step * dv
-    if _residual(model, u, v) < STEADY_STATE_TOL:
+    if residual(u, v) < STEADY_STATE_TOL:
         return SteadyState(u, v)
     raise KineticsError("Newton failed to converge in 100 iterations "
-                        f"(residual {_residual(model, u, v):.3e})")
-
-
-def steady_state(model: KineticsModel) -> SteadyState:
-    """Uniform steady state: analytic for Schnakenberg, Newton otherwise."""
-    p = model.params
-    if model.name == "schnakenberg":
-        u = p["a"] + p["b"]
-        return SteadyState(u, p["a"] / (u * u))
-    if model.name == "gierer_meinhardt":
-        return _newton_2d(model, 1.0, 1.0)
-    if model.name == "thomas":
-        # f - g eliminates the shared inhibition term: u = a - alpha*b + alpha*v
-        a, b, alpha = p["a"], p["b"], p["alpha"]
-
-        def u_of_v(v: float) -> float:
-            return a - alpha * b + alpha * v
-
-        v = b / 4.0
-        for _ in range(100):
-            u = u_of_v(v)
-            fu = model.f(u, v)
-            if abs(fu) / max(1.0, abs(u)) < STEADY_STATE_TOL:
-                return SteadyState(u, v)
-            J = jacobian_at(model, u, v)
-            slope = J.f_u * alpha + J.f_v
-            if slope == 0.0:
-                raise KineticsError("flat residual in Thomas Newton solve")
-            dv = -fu / slope
-            step = 1.0
-            for _ in range(40):
-                vn = v + step * dv
-                if vn > 0 and abs(model.f(u_of_v(vn), vn)) < abs(fu):
-                    break
-                step *= 0.5
-            v += step * dv
-        raise KineticsError("Thomas Newton failed to converge")
-    return _newton_2d(model, 1.0, 1.0)
-
-
-def jacobian_at(model: KineticsModel, u: float, v: float) -> Jacobian2x2:
-    """Analytic partial derivatives of (f, g) at (u, v)."""
-    p = model.params
-    if model.name == "schnakenberg":
-        return Jacobian2x2(f_u=-1.0 + 2.0 * u * v, f_v=u * u,
-                           g_u=-2.0 * u * v, g_v=-u * u)
-    if model.name == "gierer_meinhardt":
-        k = p["k"]
-        denom = 1.0 + k * u * u
-        return Jacobian2x2(
-            f_u=-p["b"] + 2.0 * u / (v * denom * denom),
-            f_v=-u * u / (v * v * denom),
-            g_u=2.0 * u,
-            g_v=-1.0)
-    if model.name == "thomas":
-        K, alpha, rho = p["K"], p["alpha"], p["rho"]
-        denom = 1.0 + u + K * u * u
-        h_u = rho * v * (1.0 - K * u * u) / (denom * denom)
-        h_v = rho * u / denom
-        return Jacobian2x2(f_u=-1.0 - h_u, f_v=-h_v,
-                           g_u=-h_u, g_v=-alpha - h_v)
-    raise KineticsError(f"no analytic Jacobian for model {model.name!r}")
-
-
-def jacobian(model: KineticsModel, state: SteadyState) -> Jacobian2x2:
-    return jacobian_at(model, state.u, state.v)
+                        f"(residual {residual(u, v):.3e})")
 
 
 def critical_diffusion_ratio(J: Jacobian2x2) -> float:

@@ -93,6 +93,8 @@ class Mesh:
             raise MeshError("cell index out of range")
         if self.n_cells == 0:
             raise MeshError("mesh has no cells")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("non-finite vertex coordinates")
         measures = self.cell_measures()
         bad = np.nonzero(measures <= DEGENERACY_RTOL * measures.mean())[0]
         if bad.size:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .kinetics import KineticsModel, SteadyState, steady_state
+from .kinetics import KineticsModel, SteadyState
 from .mesh import Mesh
 from .solvers import SpdSolver
 
@@ -119,7 +119,7 @@ def simulate(mesh: Mesh, config: SimulationConfig,
     if A is None:
         A = assemble_stiffness(mesh)
     if initial is None:
-        state = steady_state(config.model)
+        state = config.model.steady_state()
         u, v = initial_condition(mesh, state, config.amplitude, config.seed)
     else:
         u, v = (np.asarray(initial[0], dtype=float),

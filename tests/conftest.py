@@ -35,7 +35,8 @@ def icosphere2():
 @pytest.fixture(scope="session")
 def schnakenberg_jacobian():
     model = mi.schnakenberg()
-    return mi.jacobian(model, mi.steady_state(model))
+    state = model.steady_state()
+    return model.jacobian(state.u, state.v)
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:

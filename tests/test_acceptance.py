@@ -16,8 +16,8 @@ import pytest
 import modeiso as mi
 from modeiso.eigensolver import dense_generalized_eig, smallest_eigenpairs
 from modeiso.isolation import IsolationStatus, isolate_mode, verify_isolation
-from modeiso.kinetics import (critical_diffusion_ratio, jacobian,
-                              steady_state, wavenumber_window)
+from modeiso.kinetics import (Jacobian2x2, SteadyState,
+                              critical_diffusion_ratio, wavenumber_window)
 from modeiso.pattern_metrics import match_pattern
 from modeiso.reference_spectra import (bessel_derivative_roots,
                                        eigenvalue_array, rectangle_neumann,
@@ -38,14 +38,15 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {n}: {detail}"
 
 
-def _schnakenberg_jacobian():
-    model = mi.schnakenberg()
-    return jacobian(model, steady_state(model))
+def _jacobian(model):
+    """The model's Jacobian at its uniform steady state."""
+    s = model.steady_state()
+    return model.jacobian(s.u, s.v)
 
 
 def test_acceptance_1_table2_windows():
     start = time.time()
-    J = _schnakenberg_jacobian()
+    J = _jacobian(mi.schnakenberg())
     expected = {(10.0, 15.0): (1.7321, 2.7386),
                 (10.0, 40.0): (2.8284, 4.4721),
                 (9.0, 60.0): (3.9319, 5.0866),
@@ -62,11 +63,11 @@ def test_acceptance_1_table2_windows():
 
 def test_acceptance_2_steady_states():
     start = time.time()
-    s = steady_state(mi.schnakenberg())
+    s = mi.schnakenberg().steady_state()
     ok = (s.u, s.v) == (1.0, 0.9)
-    gm = steady_state(mi.gierer_meinhardt())
+    gm = mi.gierer_meinhardt().steady_state()
     ok &= abs(gm.u - 0.8395) < 1e-3 and abs(gm.v - 0.7047) < 1e-3
-    th = steady_state(mi.thomas())
+    th = mi.thomas().steady_state()
     ok &= abs(th.u - 37.74) < 1e-2 and abs(th.v - 25.16) < 1e-2
     elapsed = time.time() - start
     ok &= elapsed < 1.0
@@ -181,7 +182,7 @@ def test_acceptance_5_oracle_equivalence():
 
 def test_acceptance_6_isolation_soundness():
     start = time.time()
-    J = _schnakenberg_jacobian()
+    J = _jacobian(mi.schnakenberg())
     d_c = critical_diffusion_ratio(J)
     rng = np.random.default_rng(23)
     spectra = [eigenvalue_array(rectangle_neumann(1.0 + rng.random(),
@@ -216,11 +217,10 @@ def test_acceptance_6_isolation_soundness():
     tables = [
         (J, [((10.0, 15.0), [k11]), ((10.0, 40.0), [k21]),
              ((9.0, 60.0), [k02, k31]), ((8.81, 85.0), [k41])]),
-        (jacobian(mi.gierer_meinhardt(),
-                  steady_state(mi.gierer_meinhardt())),
+        (_jacobian(mi.gierer_meinhardt()),
          [((74.0, 30.0), [k11]), ((74.0, 80.0), [k21]),
           ((74.0, 160.0), [k02, k31]), ((72.0, 200.0), [k41])]),
-        (jacobian(mi.thomas(), steady_state(mi.thomas())),
+        (_jacobian(mi.thomas()),
          [((30.0, 15.0), [k11]), ((30.0, 40.0), [k21]),
           ((28.0, 60.0), [k02, k31]),
           # the (27.5, 90) window top edge is 5.9949, so the second l=1
@@ -244,7 +244,7 @@ _square_history = []
 def test_acceptance_7_end_to_end_isolation():
     start = time.time()
     model = mi.schnakenberg()
-    J = jacobian(model, steady_state(model))
+    J = _jacobian(model)
 
     # unit square: isolate the first nonzero Neumann mode
     mesh = mi.generate_rectangle(1.0, 1.0, 32, 32)
@@ -293,7 +293,10 @@ def test_acceptance_8_simulator_properties():
 
     # pure diffusion conserves mass to 1e-9 per step over 1e4 steps
     zero = KineticsModel("zero", {}, f=lambda u, v: 0.0 * u,
-                         g=lambda u, v: 0.0 * v)
+                         g=lambda u, v: 0.0 * v,
+                         jacobian=lambda u, v: Jacobian2x2(0.0, 0.0,
+                                                           0.0, 0.0),
+                         steady_state=lambda: SteadyState(1.0, 1.0))
     config = SimulationConfig(model=zero, d=3.0, gamma=1.0, tau=1e-3,
                               stop_tol=1e-30, max_time=10.0, amplitude=0.0)
     stepper = ImexStepper(M, A, config)
@@ -312,7 +315,7 @@ def test_acceptance_8_simulator_properties():
 
     # steady state is a fixed point to 1e-10 over 1e3 steps
     model = mi.schnakenberg()
-    state = steady_state(model)
+    state = model.steady_state()
     config2 = SimulationConfig(model=model, d=10.0, gamma=20.0, tau=1e-3,
                                stop_tol=1e-30, max_time=1.0, amplitude=0.0)
     n = mesh.n_vertices
@@ -349,9 +352,10 @@ def test_acceptance_8_simulator_properties():
 def test_acceptance_9_jacobians_vs_finite_differences():
     start = time.time()
     ok = True
+    rng = np.random.default_rng(9)
     for model in (mi.schnakenberg(), mi.gierer_meinhardt(), mi.thomas()):
-        s = steady_state(model)
-        J = jacobian(model, s)
+        s = model.steady_state()
+        J = model.jacobian(s.u, s.v)
         h = 1e-6 * max(1.0, abs(s.u))
         fd = np.array([
             [(model.f(s.u + h, s.v) - model.f(s.u - h, s.v)) / (2 * h),
@@ -361,7 +365,18 @@ def test_acceptance_9_jacobians_vs_finite_differences():
         ])
         analytic = np.array([[J.f_u, J.f_v], [J.g_u, J.g_v]])
         ok &= np.abs(analytic - fd).max() < 1e-6 * np.abs(analytic).max()
+
+        # on nodal arrays each entry equals the per-node scalar value
+        u = s.u * rng.uniform(0.5, 1.5, 50)
+        v = s.v * rng.uniform(0.5, 1.5, 50)
+        nodal = model.jacobian(u, v)
+        for name in ("f_u", "f_v", "g_u", "g_v"):
+            per_node = [getattr(model.jacobian(float(ui), float(vi)), name)
+                        for ui, vi in zip(u, v)]
+            ok &= np.array_equal(
+                np.broadcast_to(getattr(nodal, name), u.shape), per_node)
     elapsed = time.time() - start
     ok &= elapsed < 1.0
     _verdict(9, ok, "all three analytic Jacobians match central finite "
-                    f"differences to 1e-6 relative in {elapsed:.3f}s")
+                    "differences to 1e-6 relative, and equal per-node "
+                    f"values on nodal arrays, in {elapsed:.3f}s")

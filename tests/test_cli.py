@@ -98,6 +98,33 @@ def test_match_on_truncated_state_is_an_error(tmp_path, capsys):
     assert "error [match]:" in capsys.readouterr().err
 
 
+def test_match_needs_a_finite_u_field(tmp_path, capsys):
+    path = write_config(tmp_path)
+    state = tmp_path / "out" / "final_state.vtk"
+    assert main(["mesh", "--config", str(path)]) == 0
+    os.replace(tmp_path / "out" / "mesh.vtk", state)  # no fields at all
+    capsys.readouterr()
+    assert main(["match", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error [match]:" in err and "'u'" in err
+    # a non-finite u, as a diverged run leaves, must not pass the threshold
+    assert main(["pipeline", "--config", str(path)]) == 0
+    lines = state.read_text().splitlines()
+    lines[lines.index("SCALARS u double 1") + 2] = "nan"
+    state.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["match", "--config", str(path)]) == 1
+    assert "finite 'u'" in capsys.readouterr().err
+
+
+def test_target_and_pair_together_is_a_config_error(tmp_path):
+    path = write_config(tmp_path, isolation={"target_index": 1, "d": 10.0,
+                                             "gamma": 20.0})
+    for command in ("isolate", "simulate", "pipeline"):
+        assert main([command, "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_end_to_end(tmp_path, capsys):
     path = write_config(tmp_path)
     code = main(["pipeline", "--config", str(path)])

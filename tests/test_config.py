@@ -50,9 +50,12 @@ def test_negative_tau_rejected():
 
 
 def test_isolation_needs_target_or_pair():
-    bad = dict(MINIMAL, isolation={})
-    with pytest.raises(ConfigError, match="target_index"):
-        RunConfig.parse(bad)
+    # with a target and a pair, `isolate` and `simulate` would disagree
+    for isolation in ({}, {"gamma": 20.0}, {"target_index": 1, "d": 10.0},
+                      {"target_index": 1, "d": 10.0, "gamma": 20.0}):
+        bad = dict(MINIMAL, isolation=isolation)
+        with pytest.raises(ConfigError, match="exactly one of 'target_index'"):
+            RunConfig.parse(bad)
     ok = dict(MINIMAL, isolation={"d": 10.0, "gamma": 15.0})
     assert RunConfig.parse(ok).isolation["d"] == 10.0
 

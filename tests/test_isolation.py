@@ -13,9 +13,8 @@ from modeiso.reference_spectra import (eigenvalue_array, rectangle_neumann,
 
 
 @pytest.fixture(scope="module")
-def J(schnakenberg_jacobian=None):
-    model = mi.schnakenberg()
-    return mi.jacobian(model, mi.steady_state(model))
+def J(schnakenberg_jacobian):
+    return schnakenberg_jacobian
 
 
 def test_unique_isolation_on_rectangle(J):
@@ -101,7 +100,8 @@ def test_failed_when_gamma_budget_too_small(J):
 @given(target=st.integers(1, 12), seed=st.integers(0, 100))
 def test_isolation_soundness_property(target, seed):
     model = mi.schnakenberg()
-    Jm = mi.jacobian(model, mi.steady_state(model))
+    state = model.steady_state()
+    Jm = model.jacobian(state.u, state.v)
     rng = np.random.default_rng(seed)
     vals = eigenvalue_array(rectangle_neumann(1.0 + rng.random(),
                                               1.0 + rng.random(), 16))

@@ -7,32 +7,51 @@ from hypothesis import strategies as st
 
 import modeiso as mi
 from modeiso.kinetics import (KineticsError, critical_diffusion_ratio,
-                              dimensionless_window, dispersion, jacobian,
-                              jacobian_at, make_model, steady_state,
+                              dimensionless_window, dispersion, make_model,
                               turing_check, wavenumber_window)
 
 MODELS = [mi.schnakenberg(), mi.gierer_meinhardt(), mi.thomas()]
 
 
 def test_schnakenberg_steady_state_exact():
-    state = steady_state(mi.schnakenberg())
+    state = mi.schnakenberg().steady_state()
     assert (state.u, state.v) == (1.0, 0.9)
 
 
 def test_gm_and_thomas_steady_states():
-    gm = steady_state(mi.gierer_meinhardt())
+    gm = mi.gierer_meinhardt().steady_state()
     assert gm.u == pytest.approx(0.8395, abs=1e-3)
     assert gm.v == pytest.approx(0.7047, abs=1e-3)
-    th = steady_state(mi.thomas())
+    th = mi.thomas().steady_state()
     assert th.u == pytest.approx(37.74, abs=1e-2)
     assert th.v == pytest.approx(25.16, abs=1e-2)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_steady_state_zeroes_kinetics(model):
-    s = steady_state(model)
+    s = model.steady_state()
     assert abs(model.f(s.u, s.v)) < 1e-8 * max(1.0, abs(s.u))
     assert abs(model.g(s.u, s.v)) < 1e-8 * max(1.0, abs(s.u))
+
+
+# Each model's steady state and Jacobian there, as (u, v, f_u, f_v, g_u,
+# g_v), pinned bit for bit: any change to the formulas or to the Newton
+# iterations shows here.
+PINNED = {
+    "schnakenberg": (1.0, 0.9, 0.8, 1.0, -1.8, -1.0),
+    "gierer_meinhardt": (0.8394568694999006, 0.704687835750573,
+                         0.3027386676271264, -1.0493396252722593,
+                         1.6789137389998012, -1.0),
+    "thomas": (37.73821081675756, 25.158807211171705, 0.8995835147318647,
+               -4.462126850286287, 1.8995835147318647, -5.962126850286287),
+}
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_steady_state_and_jacobian_are_pinned(model):
+    s = model.steady_state()
+    J = model.jacobian(s.u, s.v)
+    assert (s.u, s.v, J.f_u, J.f_v, J.g_u, J.g_v) == PINNED[model.name]
 
 
 def _fd_jacobian(model, u, v, h=1e-6):
@@ -46,8 +65,8 @@ def _fd_jacobian(model, u, v, h=1e-6):
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_jacobian_matches_finite_differences(model):
-    s = steady_state(model)
-    J = jacobian(model, s)
+    s = model.steady_state()
+    J = model.jacobian(s.u, s.v)
     fd = _fd_jacobian(model, s.u, s.v, h=1e-6 * max(1.0, abs(s.u)))
     analytic = np.array([[J.f_u, J.f_v], [J.g_u, J.g_v]])
     scale = np.abs(analytic).max()
@@ -102,7 +121,8 @@ def test_window_requires_d_above_critical(schnakenberg_jacobian):
 @given(d=st.floats(8.6, 50.0), gamma=st.floats(0.1, 200.0))
 def test_window_scales_linearly_with_gamma(d, gamma):
     model = mi.schnakenberg()
-    J = jacobian(model, steady_state(model))
+    s = model.steady_state()
+    J = model.jacobian(s.u, s.v)
     lo1, hi1 = wavenumber_window(J, d, 1.0)
     lo, hi = wavenumber_window(J, d, gamma)
     assert lo == pytest.approx(gamma * lo1, rel=1e-12)
@@ -120,7 +140,7 @@ def test_make_model_dispatch_and_errors():
 
 def test_jacobian_at_arbitrary_point_matches_fd():
     model = mi.thomas()
-    J = jacobian_at(model, 20.0, 10.0)
+    J = model.jacobian(20.0, 10.0)
     fd = _fd_jacobian(model, 20.0, 10.0, h=1e-5)
     analytic = np.array([[J.f_u, J.f_v], [J.g_u, J.g_v]])
     assert np.abs(analytic - fd).max() < 1e-5 * np.abs(analytic).max()

@@ -100,6 +100,14 @@ def test_degenerate_cell_rejected():
         mi.Mesh(verts, cells, MeshKind.PLANAR)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_vertex_rejected(bad):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    verts[3, 1] = bad
+    with pytest.raises(MeshError, match="non-finite"):
+        mi.Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]), MeshKind.PLANAR)
+
+
 def test_index_out_of_range_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="index"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import modeiso as mi
+from modeiso.mesh import MeshError
 from modeiso.meshio import MeshIOError, read_off, read_vtk, write_vtk
 
 
@@ -203,4 +204,14 @@ def test_read_vtk_bad_token_names_block(tmp_path, block, offset, value):
     lines[row] = value
     _rewrite(path, lines)
     with pytest.raises(MeshIOError, match=rf"rect\.vtk.*{block}"):
+        read_vtk(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "1e999"])
+def test_read_vtk_rejects_non_finite_points(tmp_path, token):
+    path, lines = _rectangle_vtk(tmp_path)
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("POINTS")) + 5
+    lines[row] = f"0.5 {token} 0"
+    _rewrite(path, lines)
+    with pytest.raises(MeshError, match="non-finite"):
         read_vtk(path)

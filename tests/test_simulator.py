@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 import modeiso as mi
-from modeiso.kinetics import KineticsModel
+from modeiso.kinetics import Jacobian2x2, KineticsModel, SteadyState
 from modeiso.simulator import (ImexStepper, SimulationConfig,
                                SimulationStatus, initial_condition, simulate)
 
 ZERO_KINETICS = KineticsModel("zero", {},
                               f=lambda u, v: 0.0 * u,
-                              g=lambda u, v: 0.0 * v)
+                              g=lambda u, v: 0.0 * v,
+                              jacobian=lambda u, v: Jacobian2x2(0.0, 0.0,
+                                                                0.0, 0.0),
+                              steady_state=lambda: SteadyState(1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +32,7 @@ def test_config_validation():
 
 
 def test_initial_condition_bounds_and_determinism(small_mesh):
-    state = mi.steady_state(mi.schnakenberg())
+    state = mi.schnakenberg().steady_state()
     u1, v1 = initial_condition(small_mesh, state, amplitude=0.01, seed=5)
     u2, v2 = initial_condition(small_mesh, state, amplitude=0.01, seed=5)
     assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
@@ -64,7 +67,7 @@ def test_stepper_matches_dense_reference_loop():
     config = SimulationConfig(model=model, d=10.0, gamma=50.0, tau=1e-3)
     M = mi.assemble_mass(mesh)
     A = mi.assemble_stiffness(mesh)
-    u0, v0 = initial_condition(mesh, mi.steady_state(model), 0.01, seed=3)
+    u0, v0 = initial_condition(mesh, model.steady_state(), 0.01, seed=3)
 
     stepper = ImexStepper(M, A, config)
     u, v = u0, v0
@@ -89,7 +92,7 @@ def test_stepper_matches_dense_reference_loop():
 
 def test_steady_state_is_fixed_point(small_mesh):
     model = mi.schnakenberg()
-    state = mi.steady_state(model)
+    state = model.steady_state()
     config = SimulationConfig(model=model, d=10.0, gamma=20.0, tau=1e-3,
                               stop_tol=1e-16, max_time=0.1, amplitude=0.0)
     n = small_mesh.n_vertices
@@ -101,7 +104,7 @@ def test_steady_state_is_fixed_point(small_mesh):
 
 def test_stable_regime_returns_to_uniform(small_mesh):
     model = mi.schnakenberg()
-    state = mi.steady_state(model)
+    state = model.steady_state()
     config = SimulationConfig(model=model, d=1.0, gamma=20.0, tau=1e-3,
                               stop_tol=1e-6, max_time=50.0, seed=2,
                               amplitude=0.01)
@@ -137,7 +140,10 @@ def test_snapshot_callback_invoked(small_mesh):
 def test_divergence_detected(small_mesh):
     blowup = KineticsModel("blowup", {},
                            f=lambda u, v: 1e6 * u,
-                           g=lambda u, v: 1e6 * v)
+                           g=lambda u, v: 1e6 * v,
+                           jacobian=lambda u, v: Jacobian2x2(1e6, 0.0,
+                                                             0.0, 1e6),
+                           steady_state=lambda: SteadyState(0.0, 0.0))
     config = SimulationConfig(model=blowup, d=1.0, gamma=100.0, tau=1e-2,
                               stop_tol=1e-30, max_time=10.0, amplitude=0.0)
     n = small_mesh.n_vertices
