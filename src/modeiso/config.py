@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -123,15 +124,18 @@ def _parse_scalar_section(node: Any, path: str, defaults: dict,
     _check_keys(node, set(defaults), path)
     out = dict(defaults)
     out.update(node)
+    # YAML `true` loads as a bool, which Python counts as an int, and `.inf`
+    # as a float: neither is a valid count or size
     for key in ints:
-        if out[key] is not None and not isinstance(out[key], int):
+        if out[key] is not None and (isinstance(out[key], bool)
+                                     or not isinstance(out[key], int)):
             raise ConfigError(f"{path}.{key}: expected an integer")
     for key in positives:
         value = out[key]
-        if value is not None and not (isinstance(value, (int, float))
-                                      and value > 0):
-            raise ConfigError(f"{path}.{key}: expected a positive number, "
-                              f"got {value!r}")
+        if value is not None and (isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and 0 < value < math.inf)):
+            raise ConfigError(f"{path}.{key}: expected a finite positive "
+                              f"number, got {value!r}")
     return out
 
 
@@ -158,11 +162,8 @@ class RunConfig:
             data.get("isolation"), "isolation",
             {"target_index": None, "gamma0": 10.0, "eps0": None,
              "max_iters": 500, "delta": 1e-3, "d": None, "gamma": None},
-            positives={"gamma0", "max_iters", "delta", "d", "gamma"},
-            ints={"max_iters"})
-        if iso["target_index"] is not None \
-                and not isinstance(iso["target_index"], int):
-            raise ConfigError("isolation.target_index: expected an integer")
+            positives={"gamma0", "eps0", "max_iters", "delta", "d", "gamma"},
+            ints={"target_index", "max_iters"})
         given = [iso[k] is not None for k in ("target_index", "d", "gamma")]
         if given not in ([True, False, False], [False, True, True]):
             raise ConfigError("isolation: exactly one of 'target_index' and "

@@ -1,20 +1,29 @@
-"""Smallest eigenpairs of A x = lambda M x via shift-invert Krylov-Schur.
+"""Smallest eigenpairs of A x = lambda M x via shift-invert thick-restart
+Lanczos.
 
 The operator T = (A + sigma*M)^-1 M is self-adjoint in the M-inner
-product, so the projected matrix is symmetric and the Krylov-Schur
-restart reduces to thick-restart Lanczos: diagonalize the projected
-matrix, keep the leading Ritz vectors plus the continuation vector, and
-expand again.  Full reorthogonalization (two Gram-Schmidt passes) keeps
-the basis M-orthonormal to roundoff.
+product, so Lanczos on T builds an M-orthonormal basis V and a symmetric
+projected matrix B = V^T M T V.  Full reorthogonalization (two
+Gram-Schmidt passes) keeps V M-orthonormal to roundoff.  When the basis
+holds m vectors, B is diagonalized, the leading converged Ritz pairs are
+locked and the basis is cut to the leading Ritz vectors; with the last
+Lanczos vector they still satisfy T V = V B + beta v e^T, so expansion
+carries on from there (thick restart; Wu & Simon, SIMAX 22, 2000).
+
+A single starting vector sees one direction per degenerate eigenspace.
+So once the wanted pairs have converged, the basis is cut to its locked
+pairs only (every other kept vector would lose its residual term) and a
+fresh random direction is injected.  The solve ends when the leading
+values agree over two such confirmation sweeps.
 
 The largest Ritz values theta of T map to the smallest eigenvalues via
-lambda = 1/theta - sigma.
+lambda = 1/theta - sigma.  The basis lives in the rows of preallocated
+(m, n) buffers, so adding a vector copies one vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -43,150 +52,20 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-@dataclass
-class KrylovState:
-    """Thick-restart Lanczos state in the M-inner product."""
-    M: sp.spmatrix | None     # None means the Euclidean inner product
-    V: np.ndarray             # (n, j) basis, M-orthonormal columns
-    W: np.ndarray             # M @ V cache
-    B: np.ndarray             # (j, j) symmetric projected matrix
-    coupling: np.ndarray      # (j,) coupling of columns to v_next
-    v_next: np.ndarray        # continuation vector, M-normalized
-    w_next: np.ndarray        # M @ v_next
-    n_converged: int = 0
-    count: int = 1            # wanted pairs (used by restart truncation)
-    tol: float = 1e-9
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0))
-    ritz_values: np.ndarray = field(
-        default_factory=lambda: np.empty(0))
-    ritz_residuals: np.ndarray = field(
-        default_factory=lambda: np.empty(0))
-
-
-def _apply_m(M: sp.spmatrix | None, x: np.ndarray) -> np.ndarray:
-    return x if M is None else M @ x
-
-
-def initial_state(n: int, M: sp.spmatrix | None, count: int, tol: float,
-                  seed: int) -> KrylovState:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    w = _apply_m(M, v)
-    v /= np.sqrt(v @ w)
-    return KrylovState(M=M, V=np.empty((n, 0)), W=np.empty((n, 0)),
-                       B=np.empty((0, 0)), coupling=np.empty(0),
-                       v_next=v, w_next=_apply_m(M, v),
-                       count=count, tol=tol, rng=rng)
-
-
-def _fresh_direction(state: KrylovState) -> tuple[np.ndarray, np.ndarray]:
-    """Random vector M-orthogonalized against the current basis."""
-    n = state.v_next.shape[0]
+def _fresh_direction(V: np.ndarray, W: np.ndarray, M: sp.spmatrix,
+                     rng: np.random.Generator):
+    """Random M-unit vector v, M-orthogonal to the rows of V (W = V M);
+    returns (v, M v)."""
     for _ in range(20):
-        v = state.rng.standard_normal(n)
+        v = rng.standard_normal(V.shape[1])
         for _ in range(2):
-            v -= state.V @ (state.W.T @ v)
-        w = _apply_m(state.M, v)
+            v -= (W @ v) @ V
+        w = M @ v
         norm = np.sqrt(max(v @ w, 0.0))
         if norm > 1e-8:
             return v / norm, w / norm
     raise EigensolverError("could not generate a basis direction; "
-                           "Krylov space exhausted",
-                           n_converged=state.n_converged)
-
-
-def krylov_schur_iterate(state: KrylovState,
-                         operator: Callable[[np.ndarray], np.ndarray],
-                         m: int) -> KrylovState:
-    """One expand/restart cycle: grow the basis to m vectors, diagonalize
-    the projected matrix, lock converged Ritz pairs (largest theta first,
-    i.e. ascending lambda) and truncate."""
-    n = state.v_next.shape[0]
-    m = min(m, n)
-    V, W, B, coupling = state.V, state.W, state.B, state.coupling
-    v_next, w_next = state.v_next, state.w_next
-    beta = 0.0
-
-    while V.shape[1] < m:
-        j = V.shape[1]
-        # admit the continuation vector as basis column j
-        V = np.column_stack([V, v_next])
-        W = np.column_stack([W, w_next])
-        B_new = np.zeros((j + 1, j + 1))
-        B_new[:j, :j] = B
-        B_new[:j, j] = coupling
-        B_new[j, :j] = coupling
-        B = B_new
-
-        w = operator(v_next)
-        # full reorthogonalization, two passes
-        h = W.T @ w
-        w = w - V @ h
-        h2 = W.T @ w
-        w = w - V @ h2
-        h += h2
-        B[:, j] = h
-        B[j, :] = h
-        B[j, j] = h[j]
-
-        mw = _apply_m(state.M, w)
-        beta = float(np.sqrt(max(w @ mw, 0.0)))
-        scale = max(np.abs(B).max(), 1e-30)
-        if beta <= 1e-13 * scale or V.shape[1] == n:
-            # invariant subspace (or full space): restart from fresh vector
-            coupling = np.zeros(j + 1)
-            beta = 0.0
-            if V.shape[1] == n:
-                v_next = np.zeros(n)
-                w_next = np.zeros(n)
-                break
-            v_next, w_next = _fresh_direction(
-                KrylovState(M=state.M, V=V, W=W, B=B, coupling=coupling,
-                            v_next=v_next, w_next=w_next, rng=state.rng))
-        else:
-            v_next = w / beta
-            w_next = mw / beta
-            coupling = np.zeros(j + 1)
-            coupling[j] = beta
-
-    theta, Y = scipy.linalg.eigh((B + B.T) / 2.0)
-    order = np.argsort(theta)[::-1]          # largest theta = smallest lambda
-    theta = theta[order]
-    Y = Y[:, order]
-    tau = np.abs(coupling @ Y)
-
-    converged = tau <= state.tol * np.maximum(np.abs(theta), 1e-300)
-    n_locked = 0
-    while n_locked < len(theta) and converged[n_locked]:
-        n_locked += 1
-
-    p = state.count + min(state.count, 10)
-    p = min(max(p, n_locked + 1), max(B.shape[0] - 1, 1))
-    keep = slice(0, p)
-    V_k = V @ Y[:, keep]
-    W_k = W @ Y[:, keep]
-    B_k = np.diag(theta[keep])
-    coupling_k = coupling @ Y[:, keep]
-
-    return KrylovState(M=state.M, V=V_k, W=W_k, B=B_k, coupling=coupling_k,
-                       v_next=v_next, w_next=w_next, n_converged=n_locked,
-                       count=state.count, tol=state.tol, rng=state.rng,
-                       ritz_values=theta.copy(),
-                       ritz_residuals=tau.copy())
-
-
-class ShiftInvertOperator:
-    """Applies T = (A + sigma*M)^-1 M with a residual-checked inner solve."""
-
-    def __init__(self, A: sp.spmatrix, M: sp.spmatrix, sigma: float,
-                 inner_rtol: float):
-        self.M = M.tocsr()
-        self.sigma = sigma
-        self.solver = SpdSolver((A + sigma * M).tocsr(), rtol=inner_rtol)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.solver.solve(self.M @ v)
+                           "Krylov space exhausted")
 
 
 def default_shift(A: sp.spmatrix, M: sp.spmatrix) -> float:
@@ -207,74 +86,101 @@ def smallest_eigenpairs(A: sp.spmatrix, M: sp.spmatrix, count: int,
     if count < 1 or count >= n:
         raise ValueError(f"count must be in [1, {n - 1}]")
     sigma = default_shift(A, M)
-    operator = ShiftInvertOperator(A, M, sigma, inner_rtol=tol / 100.0)
-    m = max(2 * count + 10, 20)
-    state = initial_state(n, M, count, tol, seed)
-
-    stalled = 0
-    best = 0
-    confirmations = 0
+    M = M.tocsr()
+    solver = SpdSolver((A + sigma * M).tocsr(), rtol=tol / 100.0)
+    m = min(max(2 * count + 10, 20), n)
+    p = count + min(count, 10)        # Ritz vectors kept by a plain restart
+    rng = np.random.default_rng(seed)
+    V = np.empty((m, n))              # rows: M-orthonormal basis
+    W = np.empty((m, n))              # rows: M @ V[i]
+    B = np.empty((m, m))              # projected matrix, leading j x j used
+    v = rng.standard_normal(n)
+    v /= np.sqrt(v @ (M @ v))
+    w = M @ v
+    j = 0
+    stalled = best = confirmations = n_locked = 0
     reference: np.ndarray | None = None
     for _ in range(max_restarts):
-        state = krylov_schur_iterate(state, operator, m)
-        if state.n_converged >= count:
-            # a single starting vector sees one direction per degenerate
-            # eigenspace; re-seed with fresh random directions until the
-            # leading values stop changing, so no multiplicity is missed
-            theta_now = np.diag(state.B)[:count].copy()
+        while j < m:
+            V[j], W[j] = v, w
+            j += 1
+            x = solver.solve(w)
+            h = W[:j] @ x
+            x -= h @ V[:j]
+            h2 = W[:j] @ x
+            x -= h2 @ V[:j]
+            h += h2
+            B[:j, j - 1] = B[j - 1, :j] = h
+            w = M @ x
+            beta = np.sqrt(max(x @ w, 0.0))
+            if beta <= 1e-13 * max(np.abs(B[:j, :j]).max(), 1e-30) or j == n:
+                beta = 0.0  # invariant subspace: go on from a fresh vector
+                if j < m:
+                    v, w = _fresh_direction(V[:j], W[:j], M, rng)
+            else:
+                v, w = x / beta, w / beta
+
+        theta, Y = scipy.linalg.eigh(B[:j, :j])
+        theta, Y = theta[::-1], Y[:, ::-1]  # largest theta = smallest lambda
+        tau = np.abs(beta * Y[j - 1])
+        converged = tau <= tol * np.maximum(np.abs(theta), 1e-300)
+        n_locked = int(np.cumprod(converged).sum())
+        k = min(n_locked if n_locked >= count else p, j - 1)
+        V[:k] = Y[:, :k].T @ V[:j]
+        W[:k] = Y[:, :k].T @ W[:j]
+        B[:k, :k] = np.diag(theta[:k])
+        j = k
+        if n_locked >= count:
+            # keep the locked pairs only and re-seed with a fresh random
+            # direction until the leading values stop changing, so no
+            # multiplicity is missed
             if reference is not None and np.allclose(
-                    theta_now, reference, rtol=10.0 * state.tol, atol=0.0):
+                    theta[:count], reference, rtol=10.0 * tol, atol=0.0):
                 confirmations += 1
             else:
                 confirmations = 0
-            reference = theta_now
+            reference = theta[:count]
             if confirmations >= 2:
                 break
-            try:
-                v, w = _fresh_direction(state)
-            except EigensolverError:
-                break  # basis spans the whole space: nothing left to find
-            state.v_next, state.w_next = v, w
-            state.coupling = np.zeros_like(state.coupling)
+            v, w = _fresh_direction(V[:j], W[:j], M, rng)
             continue
         reference = None
         confirmations = 0
-        if state.n_converged > best:
-            best = state.n_converged
+        if n_locked > best:
+            best = n_locked
             stalled = 0
         else:
             stalled += 1
         if stalled >= 60:
             raise EigensolverError(
-                f"Krylov space stagnated with {state.n_converged} of "
-                f"{count} pairs converged", n_converged=state.n_converged)
+                f"Krylov space stagnated with {n_locked} of {count} pairs "
+                "converged", n_converged=n_locked)
     else:
         raise EigensolverError(
-            f"restart budget exhausted with {state.n_converged} of "
-            f"{count} pairs converged", n_converged=state.n_converged)
+            f"restart budget exhausted with {n_locked} of {count} pairs "
+            "converged", n_converged=n_locked)
 
-    theta = np.diag(state.B)[:count]
-    X = state.V[:, :count].copy()
-    lam = 1.0 / theta - sigma
+    lam = 1.0 / theta[:count] - sigma
     order = np.argsort(lam)
     lam = lam[order]
-    X = X[:, order]
-    # deterministic sign convention
-    for i in range(count):
-        k = int(np.argmax(np.abs(X[:, i])))
-        if X[k, i] < 0:
-            X[:, i] = -X[:, i]
-    residuals = _relative_residuals(A, M, lam, X)
+    X = V[order].T.copy()
+    _fix_signs(X)
     return Spectrum(eigenvalues=np.maximum(lam, 0.0), vectors=X,
-                    residuals=residuals, tolerance=tol)
+                    residuals=_relative_residuals(A, M, lam, X),
+                    tolerance=tol)
 
 
-def _relative_residuals(A, M, lam, X) -> np.ndarray:
-    res = np.empty(len(lam))
-    for i, l in enumerate(lam):
-        x = X[:, i]
-        res[i] = np.linalg.norm(A @ x - l * (M @ x)) / np.linalg.norm(x)
-    return res
+def _fix_signs(X: np.ndarray) -> None:
+    """Flip columns in place so each one's largest-magnitude entry is
+    positive (a deterministic sign convention)."""
+    rows = np.argmax(np.abs(X), axis=0)
+    X *= np.where(X[rows, np.arange(X.shape[1])] < 0, -1.0, 1.0)
+
+
+def _relative_residuals(A, M, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """||A x - lam M x|| / ||x|| for each column x of X."""
+    return (np.linalg.norm(A @ X - (M @ X) * lam, axis=0)
+            / np.linalg.norm(X, axis=0))
 
 
 def dense_generalized_eig(A: sp.spmatrix, M: sp.spmatrix) -> Spectrum:
@@ -288,11 +194,8 @@ def dense_generalized_eig(A: sp.spmatrix, M: sp.spmatrix) -> Spectrum:
         lam, X = scipy.linalg.eigh(Ad, Md)
     except scipy.linalg.LinAlgError as exc:
         raise LinearSolveError(f"mass matrix not positive definite: {exc}")
-    for i in range(n):
-        k = int(np.argmax(np.abs(X[:, i])))
-        if X[k, i] < 0:
-            X[:, i] = -X[:, i]
-    residuals = _relative_residuals(sp.csr_matrix(Ad), sp.csr_matrix(Md),
-                                    lam, X)
+    _fix_signs(X)
     return Spectrum(eigenvalues=np.maximum(lam, 0.0), vectors=X,
-                    residuals=residuals, tolerance=0.0)
+                    residuals=_relative_residuals(sp.csr_matrix(A),
+                                                   sp.csr_matrix(M), lam, X),
+                    tolerance=0.0)

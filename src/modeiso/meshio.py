@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .mesh import Mesh, MeshKind
+from .mesh import Mesh, MeshError, MeshKind
 
 _VTK_CELL_TYPE = {1: 3, 2: 5, 3: 10}
 _KIND_FROM_DIM = {1: MeshKind.PLANAR, 2: MeshKind.PLANAR,
@@ -78,7 +78,16 @@ def read_off(path: str | os.PathLike) -> Mesh:
             cells[i] = [int(t) for _, t in toks]
         except ValueError:
             raise MeshIOError(f"{path}:{toks[0][0]}: bad face index")
-    return Mesh(verts, cells, MeshKind.SURFACE)
+    return _checked_mesh(path, verts, cells, MeshKind.SURFACE)
+
+
+def _checked_mesh(path: str | os.PathLike, vertices: np.ndarray,
+                  cells: np.ndarray, kind: MeshKind) -> Mesh:
+    """`Mesh(vertices, cells, kind)`, with a rejection naming the file."""
+    try:
+        return Mesh(vertices, cells, kind)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None
 
 
 def write_vtk(mesh: Mesh, fields: Mapping[str, np.ndarray],
@@ -218,5 +227,4 @@ def read_vtk(path: str | os.PathLike) -> tuple[Mesh, dict[str, np.ndarray]]:
     embed = {3: 1, 5: 2, 10: 3}[cell_type]
     if kind is MeshKind.SURFACE:
         embed = 3
-    mesh = Mesh(points[:, :embed], cells, kind)
-    return mesh, fields
+    return _checked_mesh(path, points[:, :embed], cells, kind), fields

@@ -117,6 +117,19 @@ def test_match_needs_a_finite_u_field(tmp_path, capsys):
     assert "finite 'u'" in capsys.readouterr().err
 
 
+def test_match_error_names_the_rejected_state_file(tmp_path, capsys):
+    path = write_config(tmp_path)
+    state = tmp_path / "out" / "final_state.vtk"
+    assert main(["mesh", "--config", str(path)]) == 0
+    lines = (tmp_path / "out" / "mesh.vtk").read_text().splitlines()
+    lines[lines.index("POINTS 81 double") + 3] = "0.5 nan 0"
+    state.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["match", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and str(state) in err
+
+
 def test_target_and_pair_together_is_a_config_error(tmp_path):
     path = write_config(tmp_path, isolation={"target_index": 1, "d": 10.0,
                                              "gamma": 20.0})

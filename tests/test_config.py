@@ -49,6 +49,19 @@ def test_negative_tau_rejected():
         RunConfig.parse(bad)
 
 
+# YAML `true` and `.inf` load as the Python bool and float they look like
+@pytest.mark.parametrize("section, key, value", [
+    ("simulation", "max_time", float("inf")),
+    ("eigensolver", "count", True),
+    ("eigensolver", "tol", float("inf")),
+    ("isolation", "eps0", float("inf")),
+])
+def test_bool_or_infinite_number_rejected(section, key, value):
+    bad = dict(MINIMAL, **{section: {**MINIMAL.get(section, {}), key: value}})
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        RunConfig.parse(bad)
+
+
 def test_isolation_needs_target_or_pair():
     # with a target and a pair, `isolate` and `simulate` would disagree
     for isolation in ({}, {"gamma": 20.0}, {"target_index": 1, "d": 10.0},

@@ -1,5 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import modeiso as mi
 from modeiso.eigensolver import (EigensolverError, default_shift,
@@ -96,3 +101,42 @@ def test_interval_analytic_spectrum():
     spec = smallest_eigenpairs(A, M, count=4, tol=1e-10, seed=0)
     exact = (np.pi * np.arange(4)) ** 2
     assert np.allclose(spec.eigenvalues[1:], exact[1:], rtol=1e-3)
+
+
+MESHES = {"icosphere3": lambda: mi.generate_icosphere(3),
+          "ball1": lambda: mi.generate_ball(1),
+          "disk2": lambda: mi.generate_disk(1.0, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_problem(name):
+    mesh = MESHES[name]()
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    return M, A, dense_generalized_eig(A, M).eigenvalues
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(MESHES)), count=st.integers(1, 45),
+       seed=st.integers(0, 2))
+# each of these stalled or returned a pair with backward error > 1e-8
+# when a re-seed dropped the residual terms of unconverged Ritz vectors
+@example(name="icosphere3", count=10, seed=0)
+@example(name="icosphere3", count=12, seed=0)
+@example(name="icosphere3", count=12, seed=2)
+@example(name="icosphere3", count=33, seed=0)
+@example(name="icosphere3", count=45, seed=0)
+@example(name="ball1", count=23, seed=0)
+@example(name="ball1", count=32, seed=0)
+@example(name="disk2", count=10, seed=0)
+@example(name="disk2", count=11, seed=0)
+def test_any_count_matches_dense_oracle(name, count, seed):
+    M, A, dense = _dense_problem(name)
+    tol = 1e-9
+    spec = smallest_eigenpairs(A, M, count=count, tol=tol, seed=seed)
+    lam, X = spec.eigenvalues, spec.vectors
+    assert np.abs(lam - dense[:count]).max() \
+        <= 1e-9 * max(dense[count - 1], 1.0)
+    assert np.abs(X.T @ (M @ X) - np.eye(count)).max() < 1e-8
+    backward = np.linalg.norm(A @ X - (M @ X) * lam, axis=0) / (
+        (spla.norm(A, 1) + lam * spla.norm(M, 1)) * np.linalg.norm(X, axis=0))
+    assert backward.max() <= 10.0 * tol

@@ -46,6 +46,13 @@ def test_read_off_rejects_quads(tmp_path):
         read_off(path)
 
 
+def test_read_off_mesh_rejection_names_the_file(tmp_path):
+    path = tmp_path / "tetra.off"
+    path.write_text(OFF_TETRA_SURFACE.replace("0.5 1 0", "0.5 nan 0"))
+    with pytest.raises(MeshError, match=r"tetra\.off: non-finite"):
+        read_off(path)
+
+
 def test_read_off_truncated(tmp_path):
     path = tmp_path / "trunc.off"
     path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n")
