@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override eigensolver and simulation seeds")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        # the same rule as the config's seeds, and the same exit code
+        parser.error("argument --seed: expected a non-negative integer")
 
     try:
         config = load_config(args.config)

@@ -93,7 +93,7 @@ class MeshSpec:
                 raise ConfigError(f"mesh.params: {exc}")
         if self.deformation is not None:
             mesh = meshmod.map_vertices(
-                mesh, DEFORMATION_PRESETS[self.deformation]())
+                mesh, DEFORMATION_PRESETS[self.deformation])
         return mesh
 
 
@@ -125,11 +125,12 @@ def _parse_scalar_section(node: Any, path: str, defaults: dict,
     out = dict(defaults)
     out.update(node)
     # YAML `true` loads as a bool, which Python counts as an int, and `.inf`
-    # as a float: neither is a valid count or size
+    # as a float: neither is a valid count, index or seed
     for key in ints:
         if out[key] is not None and (isinstance(out[key], bool)
-                                     or not isinstance(out[key], int)):
-            raise ConfigError(f"{path}.{key}: expected an integer")
+                                     or not isinstance(out[key], int)
+                                     or out[key] < 0):
+            raise ConfigError(f"{path}.{key}: expected a non-negative integer")
     for key in positives:
         value = out[key]
         if value is not None and (isinstance(value, bool) or not (

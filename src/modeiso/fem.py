@@ -1,9 +1,11 @@
 """P1 finite element assembly on simplicial meshes.
 
 Mass and stiffness matrices use the exact element integrals for linear
-basis functions, so no quadrature rule is involved.  For surface meshes
-the element gradients live in the triangle plane, which realizes the
-tangential gradient on the piecewise-affine surface.
+basis functions, so no quadrature rule is involved.  Both reuse the cell
+measures the mesh keeps; the barycentric gradients are solved from the
+edge vectors and Gram matrices of `mesh.simplex_geometry`.  For surface
+meshes the element gradients live in the triangle plane, which realizes
+the tangential gradient on the piecewise-affine surface.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh
+from .mesh import Mesh, simplex_geometry
 
 
 def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
     """Per-cell barycentric gradients (in embedding coords)."""
-    coords = mesh.vertices[mesh.cells]           # (nc, d+1, e)
-    edges = coords[:, 1:, :] - coords[:, :1, :]  # (nc, d, e)
-    gram = edges @ edges.transpose(0, 2, 1)      # (nc, d, d)
+    edges, gram = simplex_geometry(mesh.vertices, mesh.cells)
     # gradients of barycentric coordinates 1..d: rows of (G^-1 E)
     grads_tail = np.linalg.solve(gram, edges)    # (nc, d, e)
     grads0 = -grads_tail.sum(axis=1, keepdims=True)

@@ -1,9 +1,11 @@
 """Simplicial mesh generation, deformation and validation.
 
-Meshes are immutable value objects: vertex coordinates plus simplex
-connectivity, with an intrinsic dimension (1 for intervals, 2 for planar
-domains and embedded surfaces, 3 for volumes).  Embedded surfaces carry
-3D coordinates and are required to be oriented manifolds.
+Meshes are immutable value objects: read-only vertex coordinates and
+simplex connectivity, plus the cell measures computed while validating.
+The dimensions decide the kind: triangles in 3D are a surface and must be
+an oriented manifold.  `simplex_geometry` builds the per-cell edge vectors
+and Gram matrices for both the measures and `fem`'s gradients.
+Deformations map the whole `(n, e)` vertex array and are named by preset.
 """
 
 from __future__ import annotations
@@ -31,32 +33,47 @@ class MeshKind(enum.Enum):
     SURFACE = "surface"
 
 
+def simplex_geometry(vertices: np.ndarray,
+                     cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's edge vectors from its first vertex, (nc, d, e), and
+    their Gram matrices, (nc, d, d), for any embedding dim."""
+    coords = vertices[cells]  # (nc, d+1, e)
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    return edges, edges @ edges.transpose(0, 2, 1)
+
+
 def simplex_measures(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Length/area/volume of each simplex, valid for any embedding dim."""
-    coords = vertices[cells]  # (nc, d+1, e)
-    edges = coords[:, 1:, :] - coords[:, :1, :]  # (nc, d, e)
-    gram = edges @ edges.transpose(0, 2, 1)  # (nc, d, d)
-    d = cells.shape[1] - 1
-    det = np.linalg.det(gram)
-    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(d)
+    det = np.linalg.det(simplex_geometry(vertices, cells)[1])
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(cells.shape[1] - 1)
 
 
 @dataclass(frozen=True)
 class Mesh:
-    vertices: np.ndarray  # (n_vertices, embedding_dim), float64
-    cells: np.ndarray     # (n_cells, intrinsic_dim + 1), int
-    kind: MeshKind
+    vertices: np.ndarray  # (n_vertices, embedding_dim), float64, read-only
+    cells: np.ndarray     # (n_cells, intrinsic_dim + 1), int, read-only
+    _measures: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        cells = np.ascontiguousarray(np.asarray(self.cells, dtype=np.intp))
+        # own copies, so no caller can change the mesh under its measures
+        verts = np.array(self.vertices, dtype=float, order="C")
+        cells = np.array(self.cells, dtype=np.intp, order="C")
         if verts.ndim != 2:
             raise MeshError("vertices must be a 2D array of coordinates")
         if cells.ndim != 2:
             raise MeshError("cells must be a 2D array of vertex indices")
+        verts.flags.writeable = cells.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "cells", cells)
         self._validate()
+
+    @property
+    def kind(self) -> MeshKind:
+        if self.intrinsic_dim == 3:
+            return MeshKind.VOLUMETRIC
+        if self.intrinsic_dim == 2 and self.embedding_dim == 3:
+            return MeshKind.SURFACE
+        return MeshKind.PLANAR
 
     @property
     def embedding_dim(self) -> int:
@@ -75,11 +92,12 @@ class Mesh:
         return self.cells.shape[0]
 
     def cell_measures(self) -> np.ndarray:
-        return simplex_measures(self.vertices, self.cells)
+        """Read-only length/area/volume of each cell."""
+        return self._measures
 
     def measure(self) -> float:
         """Total length/area/volume of the mesh."""
-        return float(self.cell_measures().sum())
+        return float(self._measures.sum())
 
     def _validate(self) -> None:
         if self.intrinsic_dim not in (1, 2, 3):
@@ -95,16 +113,14 @@ class Mesh:
             raise MeshError("mesh has no cells")
         if not np.isfinite(self.vertices).all():
             raise MeshError("non-finite vertex coordinates")
-        measures = self.cell_measures()
+        measures = simplex_measures(self.vertices, self.cells)
         bad = np.nonzero(measures <= DEGENERACY_RTOL * measures.mean())[0]
         if bad.size:
             raise MeshError(f"degenerate cells: {bad.tolist()[:10]}")
         if self.kind is MeshKind.SURFACE:
-            if self.intrinsic_dim != 2 or self.embedding_dim != 3:
-                raise MeshError("surface mesh must be triangles in 3D")
             _audit_surface(self.cells)
-        if self.kind is MeshKind.VOLUMETRIC and self.intrinsic_dim != 3:
-            raise MeshError("volumetric mesh must be tetrahedral")
+        measures.flags.writeable = False
+        object.__setattr__(self, "_measures", measures)
 
 
 def _edge_table(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -190,7 +206,7 @@ def generate_interval(length: float, n_cells: int) -> Mesh:
         raise MeshError("n_cells must be >= 1")
     x = np.linspace(0.0, length, n_cells + 1)
     cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    return Mesh(x[:, None], cells, MeshKind.PLANAR)
+    return Mesh(x[:, None], cells)
 
 
 def generate_rectangle(lx: float, ly: float, nx: int, ny: int) -> Mesh:
@@ -202,18 +218,12 @@ def generate_rectangle(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     ys = np.linspace(0.0, ly, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i: int, j: int) -> int:
-        return i * (ny + 1) + j
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return Mesh(verts, np.array(cells), MeshKind.PLANAR)
+    ids = np.arange(verts.shape[0]).reshape(nx + 1, ny + 1)
+    v00, v10 = ids[:-1, :-1], ids[1:, :-1]
+    v01, v11 = ids[:-1, 1:], ids[1:, 1:]
+    # two triangles per square, squares in (i, j) order
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=-1)
+    return Mesh(verts, cells.reshape(-1, 3))
 
 
 def _quadrisect_triangles(verts: np.ndarray,
@@ -247,7 +257,7 @@ def generate_disk(radius: float, refinement: int) -> Mesh:
         bnd = np.unique(edges[counts == 1])
         norms = np.linalg.norm(verts[bnd], axis=1)
         verts[bnd] *= (radius / norms)[:, None]
-    return Mesh(verts, cells, MeshKind.PLANAR)
+    return Mesh(verts, cells)
 
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -275,7 +285,7 @@ def generate_icosphere(refinement: int) -> Mesh:
     for _ in range(refinement):
         verts, cells = _quadrisect_triangles(verts, cells)
         verts /= np.linalg.norm(verts, axis=1)[:, None]
-    return Mesh(verts, cells, MeshKind.SURFACE)
+    return Mesh(verts, cells)
 
 
 def generate_ball(refinement: int) -> Mesh:
@@ -289,7 +299,7 @@ def generate_ball(refinement: int) -> Mesh:
         np.full(surface.n_cells, center),
         surface.cells[:, 0], surface.cells[:, 2], surface.cells[:, 1],
     ])
-    return Mesh(verts, cells, MeshKind.VOLUMETRIC)
+    return Mesh(verts, cells)
 
 
 def generate_tube(length: float, radius: float, closed_ends: bool,
@@ -320,33 +330,29 @@ def generate_tube(length: float, radius: float, closed_ends: bool,
             phi = (math.pi / 2.0) * i / n_phi
             rings.append((math.cos(phi), length / 2.0 + radius * math.sin(phi)))
 
-    verts = []
-    for scale, z in rings:
-        ring = np.column_stack([radius * scale * circle,
-                                np.full(n_theta, z)])
-        verts.append(ring)
-    verts = np.vstack(verts)
+    verts = np.vstack([np.column_stack([radius * scale * circle,
+                                        np.full(n_theta, z)])
+                       for scale, z in rings])
     n_rings = len(rings)
 
-    cells = []
-    for j in range(n_rings - 1):
-        lo, hi = j * n_theta, (j + 1) * n_theta
-        for i in range(n_theta):
-            i1 = (i + 1) % n_theta
-            cells.append((lo + i, lo + i1, hi + i1))
-            cells.append((lo + i, hi + i1, hi + i))
+    # two triangles per quad between rings j and j + 1, quads in (j, i) order
+    i = np.arange(n_theta)
+    i1 = np.roll(i, -1)
+    lo = (np.arange(n_rings - 1) * n_theta)[:, None]
+    hi = lo + n_theta
+    cells = np.stack([lo + i, lo + i1, hi + i1, lo + i, hi + i1, hi + i],
+                     axis=-1).reshape(-1, 3)
     if closed_ends:
         # collapse the degenerate polar rings into single pole vertices
         verts = np.vstack([verts,
                            [[0.0, 0.0, -length / 2.0 - radius],
                             [0.0, 0.0, length / 2.0 + radius]]])
-        south, north = len(verts) - 2, len(verts) - 1
-        for i in range(n_theta):
-            i1 = (i + 1) % n_theta
-            cells.append((south, i1, i))
-            top = (n_rings - 1) * n_theta
-            cells.append((north, top + i, top + i1))
-    return Mesh(verts, np.array(cells), MeshKind.SURFACE)
+        south = np.full(n_theta, len(verts) - 2)
+        north = south + 1
+        top = (n_rings - 1) * n_theta
+        caps = np.stack([south, i1, i, north, top + i, top + i1], axis=-1)
+        cells = np.vstack([cells, caps.reshape(-1, 3)])
+    return Mesh(verts, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +360,17 @@ def generate_tube(length: float, radius: float, closed_ends: bool,
 
 VertexMap = Callable[[np.ndarray], np.ndarray]
 
+# preset constants: ellipse semi-axes, dumbbell waist radius factor and the
+# Gaussian width in z over which the waist is pinched
+ELLIPSE_AXES = (2.0, 1.0)
+DUMBBELL_PINCH = 0.4
+DUMBBELL_WIDTH = 0.45
+
 
 def map_vertices(mesh: Mesh, vertex_map: VertexMap) -> Mesh:
-    """Apply a smooth injective coordinate map, keeping connectivity."""
-    mapped = np.array([np.asarray(vertex_map(v), dtype=float)
-                       for v in mesh.vertices])
+    """Apply a smooth injective coordinate map to the `(n, e)` vertex
+    array, keeping connectivity."""
+    mapped = np.asarray(vertex_map(mesh.vertices), dtype=float)
     if mapped.shape != mesh.vertices.shape:
         raise MeshError("vertex map must preserve the embedding dimension")
     order = np.lexsort(mapped.T[::-1])
@@ -369,41 +381,33 @@ def map_vertices(mesh: Mesh, vertex_map: VertexMap) -> Mesh:
         i = int(np.nonzero(close)[0][0])
         raise MeshError("vertex map is not injective: vertices "
                         f"{int(order[i])} and {int(order[i + 1])} coincide")
-    return Mesh(mapped, mesh.cells.copy(), mesh.kind)
+    return Mesh(mapped, mesh.cells)
 
 
-def scale_map(sx: float, sy: float = 1.0, sz: float = 1.0) -> VertexMap:
-    def _map(v: np.ndarray) -> np.ndarray:
-        factors = np.array([sx, sy, sz])[: len(v)]
-        return v * factors
-    return _map
+def ellipse_map(P: np.ndarray) -> np.ndarray:
+    """Stretch the unit disk into an ellipse with 2:1 axes."""
+    return P * np.array([*ELLIPSE_AXES, 1.0])[: P.shape[1]]
 
 
-def ellipse_map(semimajor: float = 2.0, semiminor: float = 1.0) -> VertexMap:
-    """Stretch the unit disk into an ellipse (default 2:1 axes)."""
-    return scale_map(semimajor, semiminor)
+def dumbbell_map(P: np.ndarray) -> np.ndarray:
+    """Pinch the radius of a 3D point set at the equator (z = 0)."""
+    # scalar math.exp and `**` (C pow) on Python floats keep the pinned
+    # dumbbell meshes bit for bit; np.exp and array `** 2` differ from them
+    # in the last bit on some vertices
+    x, y, z = P.T
+    gauss = [math.exp(-(t ** 2)) for t in (z / DUMBBELL_WIDTH).tolist()]
+    factor = 1.0 - (1.0 - DUMBBELL_PINCH) * np.array(gauss)
+    return np.column_stack([x * factor, y * factor, z])
 
 
-def dumbbell_map(pinch: float = 0.4, width: float = 0.45) -> VertexMap:
-    """Pinch the radius at the equator (z = 0) by the given factor."""
-    def _map(v: np.ndarray) -> np.ndarray:
-        x, y, z = v
-        factor = 1.0 - (1.0 - pinch) * math.exp(-((z / width) ** 2))
-        return np.array([x * factor, y * factor, z])
-    return _map
-
-
-def fish_map() -> VertexMap:
+def fish_map(P: np.ndarray) -> np.ndarray:
     """Smooth deformation of the unit sphere into a fish-like surface."""
-    def _map(v: np.ndarray) -> np.ndarray:
-        x, y, z = v
-        return np.array([1.6 * x,
-                         y * (1.0 - 0.35 * x),
-                         z * (0.9 - 0.25 * x)])
-    return _map
+    x, y, z = P.T
+    return np.column_stack([1.6 * x, y * (1.0 - 0.35 * x),
+                            z * (0.9 - 0.25 * x)])
 
 
-DEFORMATION_PRESETS: dict[str, Callable[[], VertexMap]] = {
+DEFORMATION_PRESETS: dict[str, VertexMap] = {
     "ellipse": ellipse_map,
     "dumbbell": dumbbell_map,
     "fish": fish_map,

@@ -16,11 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, MeshKind
+from .mesh import Mesh, MeshError
 
 _VTK_CELL_TYPE = {1: 3, 2: 5, 3: 10}
-_KIND_FROM_DIM = {1: MeshKind.PLANAR, 2: MeshKind.PLANAR,
-                  3: MeshKind.VOLUMETRIC}
 
 
 class MeshIOError(ValueError):
@@ -78,14 +76,14 @@ def read_off(path: str | os.PathLike) -> Mesh:
             cells[i] = [int(t) for _, t in toks]
         except ValueError:
             raise MeshIOError(f"{path}:{toks[0][0]}: bad face index")
-    return _checked_mesh(path, verts, cells, MeshKind.SURFACE)
+    return _checked_mesh(path, verts, cells)
 
 
 def _checked_mesh(path: str | os.PathLike, vertices: np.ndarray,
-                  cells: np.ndarray, kind: MeshKind) -> Mesh:
-    """`Mesh(vertices, cells, kind)`, with a rejection naming the file."""
+                  cells: np.ndarray) -> Mesh:
+    """`Mesh(vertices, cells)`, with a rejection naming the file."""
     try:
-        return Mesh(vertices, cells, kind)
+        return Mesh(vertices, cells)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from None
 
@@ -217,14 +215,7 @@ def read_vtk(path: str | os.PathLike) -> tuple[Mesh, dict[str, np.ndarray]]:
                                  f"SCALARS {name}")[:, 0]
             idx += 2 + nv
 
-    if cell_type == 10:
-        kind = MeshKind.VOLUMETRIC
-    elif cell_type == 5:
-        kind = MeshKind.SURFACE if not np.allclose(points[:, 2], 0.0) \
-            else MeshKind.PLANAR
-    else:
-        kind = MeshKind.PLANAR
-    embed = {3: 1, 5: 2, 10: 3}[cell_type]
-    if kind is MeshKind.SURFACE:
-        embed = 3
-    return _checked_mesh(path, points[:, :embed], cells, kind), fields
+    embed = {3: 1, 5: 3, 10: 3}[cell_type]
+    if cell_type == 5 and np.allclose(points[:, 2], 0.0):
+        embed = 2  # flat triangles are a planar mesh, not a surface
+    return _checked_mesh(path, points[:, :embed], cells), fields

@@ -131,7 +131,7 @@ def _random_small_meshes(rng):
     yield mi.generate_interval(1.0 + rng.random(), int(rng.integers(20, 200)))
     yield mi.generate_ball(0)
     yield mi.generate_disk(0.5 + rng.random(), 2)
-    yield mi.map_vertices(mi.generate_icosphere(1), mi.dumbbell_map())
+    yield mi.map_vertices(mi.generate_icosphere(1), mi.dumbbell_map)
     for _ in range(6):
         nx, ny = (int(v) for v in rng.integers(4, 18, 2))
         yield mi.generate_rectangle(0.5 + rng.random(), 0.5 + rng.random(),

@@ -82,6 +82,17 @@ def test_kinetics_params_error_is_config_error(tmp_path, capsys):
     assert "config error: kinetics" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, eigensolver={"count": 6, "seed": -1})
+    assert main(["isolate", "--config", str(path)]) == 2
+    assert "config error: eigensolver.seed" in capsys.readouterr().err
+    path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["isolate", "--config", str(path), "--seed", "-3"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_match_before_simulate_fails(tmp_path):
     path = write_config(tmp_path)
     assert main(["match", "--config", str(path)]) == 1

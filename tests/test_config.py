@@ -62,6 +62,13 @@ def test_bool_or_infinite_number_rejected(section, key, value):
         RunConfig.parse(bad)
 
 
+@pytest.mark.parametrize("section", ["eigensolver", "simulation"])
+def test_negative_seed_rejected(section):
+    bad = dict(MINIMAL, **{section: {"seed": -1}})
+    with pytest.raises(ConfigError, match=rf"{section}\.seed"):
+        RunConfig.parse(bad)
+
+
 def test_isolation_needs_target_or_pair():
     # with a target and a pair, `isolate` and `simulate` would disagree
     for isolation in ({}, {"gamma": 20.0}, {"target_index": 1, "d": 10.0},

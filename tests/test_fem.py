@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_scaling_law(s, d):
     base = {1: mi.generate_interval(1.0, 4),
             2: mi.generate_rectangle(1.0, 1.0, 3, 3),
             3: mi.generate_ball(0)}[d]
-    scaled = mi.map_vertices(base, lambda v, s=s: v * s)
+    scaled = mi.map_vertices(base, lambda P: P * s)
     M0, A0 = mi.assemble_mass(base), mi.assemble_stiffness(base)
     M1, A1 = mi.assemble_mass(scaled), mi.assemble_stiffness(scaled)
     assert np.allclose(M1.toarray(), s ** d * M0.toarray(), rtol=1e-9)
@@ -98,7 +99,37 @@ def test_surface_stiffness_matches_planar_for_flat_embedding():
     planar = mi.generate_rectangle(1.0, 1.0, 4, 4)
     lifted = mi.Mesh(np.column_stack([planar.vertices,
                                       np.ones(planar.n_vertices)]),
-                     planar.cells, mi.MeshKind.SURFACE)
+                     planar.cells)
     A_flat = mi.assemble_stiffness(planar).toarray()
     A_lift = mi.assemble_stiffness(lifted).toarray()
     assert np.allclose(A_flat, A_lift, atol=1e-12)
+
+
+def _csr_sha256(*mats):
+    digest = hashlib.sha256()
+    for mat in mats:
+        digest.update(np.ascontiguousarray(mat.data, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(mat.indices, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(mat.indptr, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("build, sha", [
+    (lambda: mi.generate_interval(2.5, 7),
+     "717f186a1e70f7bb4f84addfea0d2c85a4b6798333018dc223c48f6755fe3cba"),
+    (lambda: mi.generate_rectangle(1.0, 1.0, 4, 4),
+     "dc1722d955de3a86ab1f120204224be4b105eba1ae9adbf01232b7791cf52ad7"),
+    (lambda: mi.map_vertices(mi.generate_icosphere(2), mi.dumbbell_map),
+     "f72b55f8439837d457d7b91b5237c33401eb8ad4bfe10144b069f5925b40400f"),
+    (lambda: mi.generate_tube(3.0, 1.0, True, 1),
+     "8fde9521cf1c6dfaedbf16762dec104bd7c56cef156ebe0ec2b63a016408b9ef"),
+    (lambda: mi.generate_ball(0),
+     "25d1dff0b2ac2d522f95bc9c66a8ecd0e04800178bb7d3d276ea5d4f6a1a27ac"),
+], ids=["interval7", "rectangle4x4", "dumbbell_icosphere2", "closed_tube1",
+        "ball0"])
+def test_assembled_matrices_are_pinned(build, sha):
+    # Pins the CSR arrays of M and A bit for bit: every eigenpair, isolation
+    # walk and time step downstream is computed from them.
+    mesh = build()
+    assert _csr_sha256(mi.assemble_mass(mesh),
+                       mi.assemble_stiffness(mesh)) == sha

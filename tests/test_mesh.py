@@ -90,14 +90,14 @@ def test_surface_orientation_audit_rejects_flipped_triangle():
     cells = mesh.cells.copy()
     cells[0] = cells[0][::-1]
     with pytest.raises(MeshError):
-        mi.Mesh(mesh.vertices, cells, MeshKind.SURFACE)
+        mi.Mesh(mesh.vertices, cells)
 
 
 def test_degenerate_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     cells = np.array([[0, 1, 2], [0, 1, 3]])  # first triangle is a sliver
     with pytest.raises(MeshError, match="degenerate"):
-        mi.Mesh(verts, cells, MeshKind.PLANAR)
+        mi.Mesh(verts, cells)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -105,18 +105,18 @@ def test_non_finite_vertex_rejected(bad):
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     verts[3, 1] = bad
     with pytest.raises(MeshError, match="non-finite"):
-        mi.Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]), MeshKind.PLANAR)
+        mi.Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]))
 
 
 def test_index_out_of_range_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="index"):
-        mi.Mesh(verts, np.array([[0, 1, 3]]), MeshKind.PLANAR)
+        mi.Mesh(verts, np.array([[0, 1, 3]]))
 
 
 def test_map_vertices_preserves_connectivity():
     mesh = mi.generate_disk(1.0, 2)
-    mapped = mi.map_vertices(mesh, mi.ellipse_map(2.0, 1.0))
+    mapped = mi.map_vertices(mesh, mi.ellipse_map)
     assert np.array_equal(mapped.cells, mesh.cells)
     assert mapped.measure() == pytest.approx(2.0 * mesh.measure(), rel=1e-12)
 
@@ -124,13 +124,56 @@ def test_map_vertices_preserves_connectivity():
 def test_map_vertices_rejects_non_injective():
     mesh = mi.generate_rectangle(1.0, 1.0, 2, 2)
     with pytest.raises(MeshError, match="injective"):
-        mi.map_vertices(mesh, lambda v: np.array([abs(v[0] - 0.5), v[1]]))
+        mi.map_vertices(mesh, lambda P: np.column_stack(
+            [np.abs(P[:, 0] - 0.5), P[:, 1]]))
 
 
 def test_map_vertices_rejects_collapse():
     mesh = mi.generate_rectangle(1.0, 1.0, 2, 2)
     with pytest.raises(MeshError):
-        mi.map_vertices(mesh, lambda v: np.array([v[0], 0.0 * v[1]]))
+        mi.map_vertices(mesh, lambda P: P * [1.0, 0.0])
+
+
+@pytest.mark.parametrize("vertex_map", [
+    lambda P: P[:, :1],
+    lambda P: np.column_stack([P, P[:, 0]]),
+    lambda P: P[:-1],
+], ids=["drops_coordinate", "adds_coordinate", "drops_vertex"])
+def test_map_vertices_rejects_wrong_shape(vertex_map):
+    mesh = mi.generate_rectangle(1.0, 1.0, 2, 2)
+    with pytest.raises(MeshError, match="preserve the embedding dimension"):
+        mi.map_vertices(mesh, vertex_map)
+
+
+def test_mesh_arrays_are_read_only():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cells = np.array([[0, 1, 2]])
+    mesh = mi.Mesh(verts, cells)
+    with pytest.raises(ValueError):
+        mesh.vertices[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        mesh.cells[0, 0] = 1
+    with pytest.raises(ValueError):
+        mesh.cell_measures()[0] = 0.0
+    # the mesh copied its inputs, which stay the caller's to change
+    verts[1, 0] = 2.0
+    cells[0, 0] = 1
+    assert mesh.vertices[1, 0] == 1.0 and mesh.cells[0, 0] == 0
+    assert mesh.measure() == 0.5
+
+
+@pytest.mark.parametrize("vertices, cells, kind", [
+    (np.array([[0.0], [1.0]]), [[0, 1]], MeshKind.PLANAR),
+    (np.array([[0.0, 0, 0], [1, 1, 1]]), [[0, 1]], MeshKind.PLANAR),
+    (np.array([[0.0, 0], [1, 0], [0, 1]]), [[0, 1, 2]], MeshKind.PLANAR),
+    (np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]), [[0, 1, 2]],
+     MeshKind.SURFACE),
+    (np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     [[0, 1, 2, 3]], MeshKind.VOLUMETRIC),
+], ids=["line_in_1d", "line_in_3d", "triangle_in_2d", "triangle_in_3d",
+        "tetrahedron"])
+def test_kind_follows_from_dimensions(vertices, cells, kind):
+    assert mi.Mesh(vertices, np.array(cells)).kind is kind
 
 
 @pytest.mark.parametrize("name", sorted(mi.DEFORMATION_PRESETS))
@@ -138,14 +181,14 @@ def test_deformation_presets_valid_on_sphere(name):
     base = mi.generate_icosphere(2)
     if name == "ellipse":
         base = mi.generate_disk(1.0, 2)
-    mapped = mi.map_vertices(base, mi.DEFORMATION_PRESETS[name]())
+    mapped = mi.map_vertices(base, mi.DEFORMATION_PRESETS[name])
     assert mapped.n_vertices == base.n_vertices
     assert mapped.measure() > 0
 
 
 def test_dumbbell_pinches_equator():
     mesh = mi.generate_icosphere(2)
-    mapped = mi.map_vertices(mesh, mi.dumbbell_map())
+    mapped = mi.map_vertices(mesh, mi.dumbbell_map)
     near_equator = np.abs(mesh.vertices[:, 2]) < 0.1
     r_eq = np.linalg.norm(mapped.vertices[near_equator, :2], axis=1)
     assert r_eq.max() < 0.6  # pinched well below the unit radius
@@ -155,14 +198,14 @@ def test_dumbbell_pinches_equator():
 @given(s=st.floats(0.2, 5.0))
 def test_uniform_scaling_scales_measures(s):
     mesh = mi.generate_rectangle(1.0, 1.0, 3, 3)
-    scaled = mi.map_vertices(mesh, lambda v, s=s: v * s)
+    scaled = mi.map_vertices(mesh, lambda P: P * s)
     assert scaled.measure() == pytest.approx(s ** 2 * mesh.measure(),
                                              rel=1e-10)
 
 
 def test_boundary_edges_of_single_triangle():
     mesh = mi.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                   np.array([[0, 1, 2]]), MeshKind.PLANAR)
+                   np.array([[0, 1, 2]]))
     assert sorted(boundary_edges(mesh)) == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -187,10 +230,30 @@ def _sha256(array, dtype):
     (lambda: mi.generate_tube(3.0, 0.5, False, 2),
      "316440f8f863153180e50f841778f1fc2b5f24380616bacc293ceb1bf76b7dd4",
      "2351762899d28ba658247f6265067b9b7ffdbbbebfdc98721fee124bdc739802"),
-    (lambda: mi.map_vertices(mi.generate_icosphere(2), mi.dumbbell_map()),
+    (lambda: mi.map_vertices(mi.generate_icosphere(2), mi.dumbbell_map),
      "1aef45e47d360eb6e829f2da57f697c955bbfd828961b863f9d7fb96daea7ab5",
      "b749ec47113ac6dd2fa5788272bee48303d83020354a7b3516876ae6685c404a"),
-], ids=["icosphere3", "disk3", "open_tube2", "dumbbell_icosphere2"])
+    (lambda: mi.map_vertices(mi.generate_icosphere(3), mi.dumbbell_map),
+     "d604612f0b9c7f80888ebdfd830fc57856fbbb35d27069765598e81f76d3b2ff",
+     "52ba19c5cda73d335f2e29108333509a800acd29026ae2e6c65c32ec3dd5394b"),
+    (lambda: mi.map_vertices(mi.generate_icosphere(2), mi.fish_map),
+     "421054bab1eec70d1f281298db4e46c096460ae428871b698a9710b35fa21e16",
+     "b749ec47113ac6dd2fa5788272bee48303d83020354a7b3516876ae6685c404a"),
+    (lambda: mi.map_vertices(mi.generate_disk(1.0, 3), mi.ellipse_map),
+     "a70ff04220f909a7d9e30dd70472831b215a3c0ed451de35eadfcd2260c2446e",
+     "c62ae873cece16a8ef3599e9f649bfc380420f2388eba6cae6674ee83861406d"),
+    (lambda: mi.generate_tube(2.0, 0.5, True, 2),
+     "777f45ac4156e58b01de8cfe2e4b318d0845569722a29abb4e2ed912a33a960a",
+     "a78ae06d815a814ac9bd6fd5f4583248c44936d0cca4f634c361aa4b545f3b61"),
+    (lambda: mi.generate_rectangle(2.0, 1.0, 3, 2),
+     "c23d4869e9eb28e527b5b703209ceaee02c500d5a96a543249d282d5419f1214",
+     "79ac7566919aff605ee18a7287c07f407e576b29d7720571d0427a5ba7fe4dec"),
+    (lambda: mi.generate_ball(0),
+     "ff976b807dd174a137b2680c67e724dac2dfd346e118b633d857ab26f1e7c898",
+     "1a784b9b861bdb838fdaa4c7ff26d3fdf1853462b8f36f900330b6ebc8685024"),
+], ids=["icosphere3", "disk3", "open_tube2", "dumbbell_icosphere2",
+        "dumbbell_icosphere3", "fish_icosphere2", "ellipse_disk3",
+        "closed_tube2", "rectangle3x2", "ball0"])
 def test_generated_numbering_is_pinned(build, vertices_sha, cells_sha):
     # Pins vertex numbering and coordinates bit for bit: eigenvector files
     # and VTK snapshots are indexed by vertex, so any reordering shows here.
@@ -205,4 +268,4 @@ def test_surface_audit_rejects_three_triangle_fan():
                       [0, -1, 0]])
     cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
     with pytest.raises(MeshError):
-        mi.Mesh(verts, cells, MeshKind.SURFACE)
+        mi.Mesh(verts, cells)
