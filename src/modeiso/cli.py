@@ -203,7 +203,9 @@ def cmd_simulate(run: Run) -> int:
               run.path("final_state.vtk"), comment=run.meta)
     run.write_json("outcome.json",
                    {"status": outcome.status.value, "elapsed": outcome.elapsed,
-                    "d": d, "gamma": gamma, "snapshots": len(snapshots)})
+                    "d": d, "gamma": gamma, "snapshots": len(snapshots),
+                    "ptc_steps": outcome.ptc_steps,
+                    "residual_norm": outcome.residual_norm})
     run.final_u = outcome.u
     print(f"simulate: status={outcome.status.value} t={outcome.elapsed:.4g}")
     return EXIT_OK if outcome.status is SimulationStatus.CONVERGED \

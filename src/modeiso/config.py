@@ -92,8 +92,11 @@ class MeshSpec:
             except (TypeError, meshmod.MeshError) as exc:
                 raise ConfigError(f"mesh.params: {exc}")
         if self.deformation is not None:
-            mesh = meshmod.map_vertices(
-                mesh, DEFORMATION_PRESETS[self.deformation])
+            try:
+                mesh = meshmod.map_vertices(
+                    mesh, DEFORMATION_PRESETS[self.deformation])
+            except meshmod.MeshError as exc:
+                raise ConfigError(f"mesh.deformation: {exc}")
         return mesh
 
 

@@ -1,11 +1,13 @@
 """Simplicial mesh generation, deformation and validation.
 
-Meshes are immutable value objects: read-only vertex coordinates and
-simplex connectivity, plus the cell measures computed while validating.
+Meshes are immutable: read-only vertex coordinates and simplex
+connectivity, plus the cell measures computed while validating.  They
+compare and hash by identity.
 The dimensions decide the kind: triangles in 3D are a surface and must be
 an oriented manifold.  `simplex_geometry` builds the per-cell edge vectors
 and Gram matrices for both the measures and `fem`'s gradients.
-Deformations map the whole `(n, e)` vertex array and are named by preset.
+Deformations map the whole `(n, e)` vertex array and are named by preset;
+`dumbbell` and `fish` take 3D vertices only.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def simplex_measures(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(cells.shape[1] - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # array fields have no `==`
 class Mesh:
     vertices: np.ndarray  # (n_vertices, embedding_dim), float64, read-only
     cells: np.ndarray     # (n_cells, intrinsic_dim + 1), int, read-only
@@ -384,6 +386,14 @@ def map_vertices(mesh: Mesh, vertex_map: VertexMap) -> Mesh:
     return Mesh(mapped, mesh.cells)
 
 
+def _xyz(P: np.ndarray, preset: str) -> np.ndarray:
+    """The coordinate columns of a 3D point set, for a 3D-only preset."""
+    if P.shape[1] != 3:
+        raise MeshError(f"the {preset!r} deformation needs 3D vertices, "
+                        f"got {P.shape[1]}D")
+    return P.T
+
+
 def ellipse_map(P: np.ndarray) -> np.ndarray:
     """Stretch the unit disk into an ellipse with 2:1 axes."""
     return P * np.array([*ELLIPSE_AXES, 1.0])[: P.shape[1]]
@@ -394,7 +404,7 @@ def dumbbell_map(P: np.ndarray) -> np.ndarray:
     # scalar math.exp and `**` (C pow) on Python floats keep the pinned
     # dumbbell meshes bit for bit; np.exp and array `** 2` differ from them
     # in the last bit on some vertices
-    x, y, z = P.T
+    x, y, z = _xyz(P, "dumbbell")
     gauss = [math.exp(-(t ** 2)) for t in (z / DUMBBELL_WIDTH).tolist()]
     factor = 1.0 - (1.0 - DUMBBELL_PINCH) * np.array(gauss)
     return np.column_stack([x * factor, y * factor, z])
@@ -402,7 +412,7 @@ def dumbbell_map(P: np.ndarray) -> np.ndarray:
 
 def fish_map(P: np.ndarray) -> np.ndarray:
     """Smooth deformation of the unit sphere into a fish-like surface."""
-    x, y, z = P.T
+    x, y, z = _xyz(P, "fish")
     return np.column_stack([1.6 * x, y * (1.0 - 0.35 * x),
                             z * (0.9 - 0.25 * x)])
 

@@ -1,10 +1,13 @@
-"""Sparse symmetric positive definite linear solvers.
+"""Sparse linear solvers.
 
 `SpdSolver` wraps one fixed matrix for repeated solves: it factors the
 matrix once (SuperLU) and reuses the factors for every right-hand side.
 The eigensolver's shift-invert systems and the simulator's IMEX diffusion
-systems both go through it.  Every solve checks the achieved residual,
-so callers never receive a silently bad solve.
+systems, which are SPD, go through it.  So does the simulator's
+nonsymmetric pseudo-transient continuation matrix: the LU factorization
+and the residual check need no symmetry, and the name stays for its SPD
+callers.  Every solve checks the achieved residual, so callers never
+receive a silently bad solve.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ class LinearSolveError(RuntimeError):
 
 
 class SpdSolver:
-    """Reusable solver for a fixed SPD sparse matrix.
+    """Reusable solver for a fixed sparse matrix, SPD or not.
 
     Factors the matrix once with a sparse LU; every solve is residual
     checked against `rtol`.

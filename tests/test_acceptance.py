@@ -272,6 +272,7 @@ def test_acceptance_7_end_to_end_isolation():
     config_s = SimulationConfig(model=model, d=result_s.d,
                                 gamma=result_s.gamma, seed=1)
     outcome_s = simulate(sphere, config_s, M=Ms, A=As)
+    ok &= outcome_s.status is SimulationStatus.CONVERGED
     report_s = match_pattern(outcome_s.u, spec_s, Ms)
     sphere_corr = report_s.correlation
     ok &= set(report_s.eigenspace) == {4, 5, 6, 7, 8}
@@ -279,8 +280,9 @@ def test_acceptance_7_end_to_end_isolation():
     elapsed = time.time() - start
     ok &= elapsed < 900.0
     _verdict(7, ok, f"square converged with correlation {square_corr:.4f} "
-                    f"(>= 0.9); icosphere(2) l=2 cluster correlation "
-                    f"{sphere_corr:.4f} (>= 0.85), in {elapsed:.1f}s")
+                    f"(>= 0.9); icosphere(2) l=2 cluster converged with "
+                    f"correlation {sphere_corr:.4f} (>= 0.85), "
+                    f"in {elapsed:.1f}s")
 
 
 def test_acceptance_8_simulator_properties():

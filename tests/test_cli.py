@@ -93,6 +93,18 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", ["dumbbell", "fish"])
+def test_3d_deformation_on_a_planar_mesh_is_a_config_error(tmp_path, capsys,
+                                                            preset):
+    path = write_config(tmp_path, mesh={
+        "generator": "rectangle",
+        "params": {"lx": 1.0, "ly": 1.0, "nx": 8, "ny": 8},
+        "deformation": preset})
+    assert main(["mesh", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: mesh.deformation" in err and "3D" in err
+
+
 def test_match_before_simulate_fails(tmp_path):
     path = write_config(tmp_path)
     assert main(["match", "--config", str(path)]) == 1
@@ -162,6 +174,10 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert len(history) > 3
     assert (out_dir / "final_state.vtk").exists()
     assert any(name.startswith("run_") for name in os.listdir(out_dir))
+    outcome = json.loads((out_dir / "outcome.json").read_text())
+    assert outcome["status"] == "converged"
+    assert outcome["ptc_steps"] > 0   # the growth was finished by PTC
+    assert 0.0 <= outcome["residual_norm"] < 1e-4
     # match subcommand reuses the saved state
     assert main(["match", "--config", str(path)]) == 0
     # ... and enforces the threshold like the pipeline does

@@ -186,6 +186,19 @@ def test_deformation_presets_valid_on_sphere(name):
     assert mapped.measure() > 0
 
 
+@pytest.mark.parametrize("name", ["dumbbell", "fish"])
+def test_3d_presets_reject_planar_vertices(name):
+    with pytest.raises(mi.MeshError, match="3D"):
+        mi.map_vertices(mi.generate_rectangle(1.0, 1.0, 2, 2),
+                        mi.DEFORMATION_PRESETS[name])
+
+
+def test_meshes_compare_and_hash_by_identity():
+    a, b = mi.generate_interval(1.0, 2), mi.generate_interval(1.0, 2)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_dumbbell_pinches_equator():
     mesh = mi.generate_icosphere(2)
     mapped = mi.map_vertices(mesh, mi.dumbbell_map)

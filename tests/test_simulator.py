@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import modeiso as mi
+from modeiso import simulator
+from modeiso.eigensolver import smallest_eigenpairs
+from modeiso.isolation import IsolationStatus, isolate_mode
 from modeiso.kinetics import Jacobian2x2, KineticsModel, SteadyState
+from modeiso.pattern_metrics import match_pattern
 from modeiso.simulator import (ImexStepper, SimulationConfig,
-                               SimulationStatus, initial_condition, simulate)
+                               SimulationStatus, SwitchRule,
+                               initial_condition, simulate)
 
 ZERO_KINETICS = KineticsModel("zero", {},
                               f=lambda u, v: 0.0 * u,
@@ -110,6 +116,7 @@ def test_stable_regime_returns_to_uniform(small_mesh):
                               amplitude=0.01)
     out = simulate(small_mesh, config)
     assert out.status is SimulationStatus.CONVERGED
+    assert out.ptc_steps == 0
     assert np.abs(out.u - state.u).max() < 1e-4
     assert np.abs(out.v - state.v).max() < 1e-4
 
@@ -149,3 +156,115 @@ def test_divergence_detected(small_mesh):
     n = small_mesh.n_vertices
     out = simulate(small_mesh, config, initial=(np.ones(n), np.ones(n)))
     assert out.status is SimulationStatus.DIVERGED
+
+
+@pytest.mark.parametrize("model", [mi.schnakenberg(), mi.gierer_meinhardt(),
+                                   mi.thomas()], ids=lambda m: m.name)
+def test_ptc_matrix_is_the_jacobian_of_the_residual(small_mesh, model):
+    M = mi.assemble_mass(small_mesh)
+    A = mi.assemble_stiffness(small_mesh)
+    stepper = ImexStepper(M, A, SimulationConfig(model=model, d=20.0,
+                                                 gamma=5.0))
+    n = small_mesh.n_vertices
+    rng = np.random.default_rng(0)
+    state = model.steady_state()
+    w = np.concatenate((state.u * (1 + 0.1 * rng.random(n)),
+                        state.v * (1 + 0.1 * rng.random(n))))
+    e, h = rng.standard_normal(2 * n), 1e-6
+    fd = (stepper.residual(*np.split(w + h * e, 2))
+          - stepper.residual(*np.split(w - h * e, 2))) / (2 * h)
+    # at delta = inf the PTC matrix is -J
+    minus_J = stepper.ptc_matrix(w[:n], w[n:], np.inf)
+    assert np.abs(minus_J @ e + fd).max() < 1e-7 * np.abs(fd).max()
+
+
+def test_switch_rule_waits_for_rise_then_fall():
+    rule = SwitchRule()
+    # noise decay with bumps below the rise factor never arms the rule
+    decay = [1.0, 0.5, 0.2, 0.9, 0.1, 0.05, 0.3, 0.01]
+    assert not any(rule(x) for x in decay)
+    # growth to a peak, then the first value 10x below the peak fires it
+    fired = [rule(x) for x in (0.2, 5.0, 8.0, 2.0, 0.81, 0.79)]
+    assert fired == [False] * 5 + [True]
+
+
+@pytest.fixture(scope="module")
+def growth():
+    """A 2:1 rectangle with its first nonzero mode isolated: one excited
+    mode, so the grown state is one steady state, not a family."""
+    mesh = mi.generate_rectangle(2.0, 1.0, 12, 6)
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    model = mi.schnakenberg()
+    state = model.steady_state()
+    spectrum = smallest_eigenpairs(A, M, count=6, tol=1e-9, seed=0)
+    result = isolate_mode(spectrum, 1, model.jacobian(state.u, state.v))
+    assert result.status is IsolationStatus.UNIQUE
+    config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
+                              tau=1e-2, seed=1)
+    return mesh, M, A, spectrum, config
+
+
+def _imex_reference(mesh, M, A, config):
+    """The fixed-tau loop alone, run to the same stop test."""
+    stepper = ImexStepper(M, A, config)
+    u, v = initial_condition(mesh, config.model.steady_state(),
+                             config.amplitude, config.seed)
+    for step in range(1, int(round(config.max_time / config.tau)) + 1):
+        u_new, v_new = stepper.step(u, v)
+        du, dv = (u_new - u) / config.tau, (v_new - v) / config.tau
+        deriv = np.sqrt(du @ (M @ du)) + np.sqrt(dv @ (M @ dv))
+        u, v = u_new, v_new
+        if deriv < config.stop_tol:
+            return u, v, step * config.tau
+    raise AssertionError("reference loop did not converge")
+
+
+def test_noise_decay_does_not_switch(growth):
+    mesh, M, A, _, config = growth
+    # the norm bottoms out near t = 3 and is not 10x above that until t = 8
+    early = SimulationConfig(**{**config.__dict__, "max_time": 5.0})
+    out = simulate(mesh, early, M=M, A=A)
+    assert out.status is SimulationStatus.MAX_TIME
+    assert out.ptc_steps == 0 and out.elapsed == pytest.approx(5.0)
+
+
+def test_ptc_finish_matches_imex_reference(growth):
+    mesh, M, A, spectrum, config = growth
+    out = simulate(mesh, config, M=M, A=A)
+    u_ref, v_ref, t_ref = _imex_reference(mesh, M, A, config)
+    assert out.status is SimulationStatus.CONVERGED
+    assert out.ptc_steps > 0 and out.elapsed < t_ref
+    assert out.history[-1][0] == pytest.approx(out.elapsed)
+    assert out.history[-1][1] < config.stop_tol
+    assert out.residual_norm < 1e-6
+    # measured: 7.4e-5 in u and 3.0e-5 in v; the pattern spans 0.91 in u
+    assert np.abs(out.u - u_ref).max() < 3e-4
+    assert np.abs(out.v - v_ref).max() < 3e-4
+    report, ref = match_pattern(out.u, spectrum, M), match_pattern(u_ref,
+                                                                   spectrum, M)
+    assert report.eigenspace == ref.eigenspace == (1,)
+    assert report.correlation == pytest.approx(ref.correlation, abs=1e-6)
+
+
+def _singular_ptc_matrix(self, u, v, delta):
+    return sp.csr_matrix((2 * len(u), 2 * len(u)))
+
+
+@pytest.mark.parametrize("failure", ["solve", "step_cap", "growth"])
+def test_ptc_failure_falls_back_to_imex(growth, monkeypatch, failure):
+    mesh, M, A, _, config = growth
+    if failure == "solve":
+        monkeypatch.setattr(ImexStepper, "ptc_matrix", _singular_ptc_matrix)
+    elif failure == "step_cap":
+        monkeypatch.setattr(simulator, "PTC_MAX_STEPS", 1)
+    else:
+        monkeypatch.setattr(simulator, "PTC_MAX_GROWTH", 0.0)
+    out = simulate(mesh, config, M=M, A=A)
+    u_ref, v_ref, t_ref = _imex_reference(mesh, M, A, config)
+    # PTC was tried once, then the fixed-tau loop went on from the switch
+    # state and stopped by its own rule, where the IMEX reference stops
+    assert out.ptc_steps == 1
+    assert out.status is SimulationStatus.CONVERGED
+    assert out.elapsed == pytest.approx(t_ref)
+    assert np.abs(out.u - u_ref).max() < 1e-12
+    assert np.abs(out.v - v_ref).max() < 1e-12
