@@ -27,8 +27,7 @@ from .meshio import MeshIOError, read_off, read_vtk, write_vtk
 from .pattern_metrics import MatchReport, cluster_spectrum, match_pattern
 from .reference_spectra import (AnalyticEigenvalue, bessel_derivative_roots,
                                 real_spherical_harmonic, rectangle_neumann,
-                                sphere_bulk_spectrum, sphere_surface_spectrum,
-                                spherical_bessel_j)
+                                sphere_bulk_spectrum, sphere_surface_spectrum)
 from .simulator import (SimulationConfig, SimulationOutcome, SimulationStatus,
                         initial_condition, simulate)
 from .solvers import LinearSolveError, SpdSolver

@@ -17,6 +17,7 @@ import yaml
 from . import mesh as meshmod
 from .kinetics import KineticsError, KineticsModel, make_model
 from .mesh import DEFORMATION_PRESETS, Mesh
+from .simulator import MAX_STABLE_TAU
 
 
 class ConfigError(ValueError):
@@ -179,6 +180,9 @@ class RunConfig:
             positives={"tau", "stop_tol", "max_time", "amplitude",
                        "snapshot_stride"},
             ints={"seed", "snapshot_stride"})
+        if sim["tau"] > MAX_STABLE_TAU:
+            raise ConfigError(f"simulation.tau: expected at most "
+                              f"{MAX_STABLE_TAU}, got {sim['tau']!r}")
         match = _parse_scalar_section(
             data.get("match"), "match",
             {"threshold": 0.8, "cluster_gap": 1e-3},

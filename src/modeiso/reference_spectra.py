@@ -4,11 +4,12 @@ harmonics for pattern comparison."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv
+from scipy.special import lpmv, spherical_jn
 
 
 @dataclass(frozen=True)
@@ -56,59 +57,6 @@ def sphere_surface_spectrum(count: int) -> list[AnalyticEigenvalue]:
     return entries[:count]
 
 
-_DOUBLE_FACTORIAL = [1.0]
-for _k in range(1, 40):
-    _DOUBLE_FACTORIAL.append(_DOUBLE_FACTORIAL[-1] * (2 * _k + 1))
-
-
-def _bessel_series(l: int, x: float) -> float:
-    # j_l(x) = x^l / (2l+1)!! * sum_k (-x^2/2)^k / (k! (2l+2k+1)!! / (2l+1)!!)
-    term = x ** l / _DOUBLE_FACTORIAL[l]
-    total = term
-    k = 1
-    while True:
-        term *= -(x * x / 2.0) / (k * (2 * l + 2 * k + 1))
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            return total
-        k += 1
-
-
-def spherical_bessel_j(l: int, x: float) -> tuple[float, float]:
-    """Spherical Bessel j_l and its derivative, l in 0..6.
-
-    Ascending recurrence from the closed forms of j_0, j_1 where stable;
-    the power series for small arguments.  The derivative follows the
-    recurrence identity j_l'(x) = (l/x) j_l(x) - j_{l+1}(x).
-    """
-    if not 0 <= l <= 6:
-        raise ValueError("l must be in 0..6")
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x < max(1e-6, 0.0):
-        # series limits at the origin
-        jl = 1.0 if l == 0 else _bessel_series(l, x)
-        jl1 = _bessel_series(l + 1, x)
-        deriv = -jl1 if l == 0 else (l / x * jl - jl1 if x > 0 else
-                                     (1.0 / 3.0 if l == 1 else 0.0))
-        return jl, deriv
-    if x < l + 1:
-        # ascending recurrence loses accuracy for x below the turning point
-        jl = _bessel_series(l, x)
-        jl1 = _bessel_series(l + 1, x)
-    else:
-        j_prev = math.sin(x) / x
-        j_cur = math.sin(x) / x ** 2 - math.cos(x) / x
-        if l == 0:
-            jl, jl1 = j_prev, j_cur
-        else:
-            for order in range(1, l + 1):
-                j_prev, j_cur = j_cur, (2 * order + 1) / x * j_cur - j_prev
-                # after the swap: j_prev = j_order, j_cur = j_{order+1}
-            jl, jl1 = j_prev, j_cur
-    return jl, l / x * jl - jl1
-
-
 def _bisect_root(fn, lo: float, hi: float, xtol: float = 1e-10) -> float:
     flo = fn(lo)
     fhi = fn(hi)
@@ -134,21 +82,20 @@ def bessel_derivative_roots(l: int, k_max: float = 20.0,
                             scan_step: float = 0.05) -> list[float]:
     """Positive roots of j_l'(x) on (0, k_max], by bracketing + bisection."""
     def deriv(x: float) -> float:
-        return spherical_bessel_j(l, x)[1]
+        return float(spherical_jn(l, x, derivative=True))
 
+    # start past the origin where j_l' ~ x^(l-1) has a known sign; the
+    # grid accumulates scan_step and is evaluated in one call
+    xs = [scan_step]
+    while xs[-1] + scan_step <= k_max + 1e-12:
+        xs.append(xs[-1] + scan_step)
+    fs = spherical_jn(l, np.array(xs), derivative=True)
     roots = []
-    # start past the origin where j_l' ~ x^(l-1) has a known sign
-    x0 = scan_step
-    prev_x, prev_f = x0, deriv(x0)
-    x = x0 + scan_step
-    while x <= k_max + 1e-12:
-        f = deriv(x)
-        if prev_f == 0.0:
-            roots.append(prev_x)
-        elif prev_f * f < 0:
-            roots.append(_bisect_root(deriv, prev_x, x))
-        prev_x, prev_f = x, f
-        x += scan_step
+    for i in range(len(xs) - 1):
+        if fs[i] == 0.0:
+            roots.append(xs[i])
+        elif fs[i] * fs[i + 1] < 0:
+            roots.append(_bisect_root(deriv, xs[i], xs[i + 1]))
     return roots
 
 
@@ -160,8 +107,10 @@ def sphere_bulk_spectrum(count: int, k_max: float = 20.0,
     (0, 1) following the convention that k_{0,1} = 0.
     """
     entries = [AnalyticEigenvalue(0.0, 1, (0, 1, 0))]
-    for l in range(0, 7):
+    for l in itertools.count():
         roots = bessel_derivative_roots(l, k_max=k_max, scan_step=scan_step)
+        if not roots and l > 0:
+            break   # from l = 1 on, the first root of j_l' grows with l
         n0 = 2 if l == 0 else 1  # the l = 0 count starts after the k = 0 root
         for idx, k in enumerate(roots):
             lam = k * k

@@ -1,22 +1,27 @@
 """Finite element time stepping for the nondimensional reaction-diffusion
 system: IMEX growth, finished by pseudo-transient continuation.
 
-The growth phase is IMEX: diffusion implicit, reactions explicit and
-evaluated nodally (the Lagrange interpolant of f and g), giving two
-constant SPD systems (M/tau + A) and (M/tau + d A).  Each is factored once
-by `SpdSolver` and the factors are reused on every step.
+Both phases carry one stacked state w = (u, v) and take one update form,
+w <- w + K^-1 F(w), on the residual F(w) = gamma M2 R(w) - D w.  Here
+M2 = diag(M, M), D = diag(A, d A), and R = (f, g) is evaluated nodally
+(the Lagrange interpolant of f and g).
+
+The growth phase is IMEX with K = M2/tau + D: diffusion implicit,
+reactions explicit.  It is the scheme (M/tau + A) u+ = M (u/tau + gamma f),
+and the same for v with d A, with u subtracted on both sides.  K is
+constant and SPD, so `SpdSolver` factors it once and reuses the factors on
+every step; the increment divided by tau is the step's time derivative.
 
 Once the run's own derivative history shows a grown pattern (see
 `SwitchRule`), `simulate` finishes with pseudo-transient continuation
-(PTC) on the full 2n system F(u, v) = [-A u + gamma M f, -d A v + gamma M g].
-Each PTC step solves (M2/delta - J) Delta = F, where M2 = diag(M, M) and
-J is the Jacobian of F built from the model's nodal Jacobian; delta
-follows switched evolution relaxation, delta <- delta ||F_old|| / ||F_new||
-(Kelley & Keyes, SINUM 35, 1998).  After each PTC step one IMEX step from
-the PTC state applies the unchanged stop test, and the run returns that
-post-IMEX state.  When PTC fails (a failed solve, the step cap, or ||F||
-growing), the fixed-tau loop resumes from the switch state.  Every solve
-is residual checked.
+(PTC): K = M2/delta + D - gamma M2 J_R(w), where J_R is the model's nodal
+Jacobian of R, factored afresh each step.  delta follows switched
+evolution relaxation, delta <- delta ||F_old|| / ||F_new|| (Kelley &
+Keyes, SINUM 35, 1998).  After each PTC step one IMEX step from the PTC
+state applies the unchanged stop test, and the run returns that post-IMEX
+state.  When PTC fails (a failed solve, the step cap, or ||F|| growing),
+the fixed-tau loop resumes from the switch state.  Every solve is residual
+checked.
 """
 
 from __future__ import annotations
@@ -130,94 +135,74 @@ class SwitchRule:
 
 
 class ImexStepper:
-    """Prebuilt operators for repeated IMEX steps on a fixed mesh, and the
-    residual F and PTC matrix of the same system."""
+    """Prebuilt operators of the stacked system on a fixed mesh: the
+    residual F(w), the IMEX increment and the PTC matrix."""
 
     def __init__(self, M: sp.spmatrix, A: sp.spmatrix,
                  config: SimulationConfig):
-        self.M = M.tocsr()
-        self.A = A.tocsr()
         self.config = config
-        tau = config.tau
-        self.solver_u = SpdSolver((M / tau + A).tocsr(), rtol=SOLVER_RTOL)
-        self.solver_v = SpdSolver((M / tau + config.d * A).tocsr(),
-                                  rtol=SOLVER_RTOL)
+        self.M2 = sp.block_diag((M, M), format="csr")
+        self.D = sp.block_diag((A, config.d * A), format="csr")
+        self.solver = SpdSolver(self.M2 / config.tau + self.D,
+                                rtol=SOLVER_RTOL)
 
-    def step(self, u: np.ndarray,
-             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
-        fu = np.asarray(cfg.model.f(u, v), dtype=float)
-        gv = np.asarray(cfg.model.g(u, v), dtype=float)
-        # M (gamma f + u/tau) and M (gamma g + v/tau) in one product.
-        rhs = self.M @ np.column_stack((cfg.gamma * fu + u / cfg.tau,
-                                        cfg.gamma * gv + v / cfg.tau))
-        u_new = self.solver_u.solve(rhs[:, 0])
-        v_new = self.solver_v.solve(rhs[:, 1])
-        return u_new, v_new
+    def residual(self, w: np.ndarray) -> np.ndarray:
+        """F(w) = gamma M2 R(w) - D w, with R = (f, g) nodal."""
+        model, n = self.config.model, len(w) // 2
+        u, v = w[:n], w[n:]
+        R = np.empty_like(w)
+        R[:n], R[n:] = model.f(u, v), model.g(u, v)
+        return self.config.gamma * (self.M2 @ R) - self.D @ w
 
-    def norms(self, u: np.ndarray, v: np.ndarray, u_new: np.ndarray,
-              v_new: np.ndarray) -> tuple[float, float]:
-        """The step's derivative norm m_norm(du/dt) + m_norm(dv/dt), and
-        the larger of m_norm(u_new) and m_norm(v_new), from one product
-        with M."""
-        tau = self.config.tau
-        X = np.column_stack(((u_new - u) / tau, (v_new - v) / tau,
-                             u_new, v_new))
-        norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", X, self.M @ X),
-                                   0.0))
-        return float(norms[0] + norms[1]), float(max(norms[2], norms[3]))
+    def step(self, w: np.ndarray) -> np.ndarray:
+        """The IMEX increment (M2/tau + D)^-1 F(w)."""
+        return self.solver.solve(self.residual(w))
 
-    def residual(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """F(u, v) = [-A u + gamma M f, -d A v + gamma M g], stacked."""
-        cfg = self.config
-        fg = self.M @ np.column_stack((cfg.model.f(u, v), cfg.model.g(u, v)))
-        return np.concatenate((cfg.gamma * fg[:, 0] - self.A @ u,
-                               cfg.gamma * fg[:, 1] - cfg.d * (self.A @ v)))
+    def norms(self, w: np.ndarray, dw: np.ndarray) -> tuple[float, float]:
+        """For the state w reached by the increment dw: the derivative norm
+        m_norm(du/dt) + m_norm(dv/dt), and the larger of m_norm(u) and
+        m_norm(v), from one product with M2."""
+        X = np.column_stack((dw / self.config.tau, w))
+        sq = (X * (self.M2 @ X)).reshape(2, -1, 2).sum(axis=1)
+        norms = np.sqrt(np.maximum(sq, 0.0))    # rows u, v; columns d/dt, w
+        return float(norms[0, 0] + norms[1, 0]), float(norms[:, 1].max())
 
-    def ptc_matrix(self, u: np.ndarray, v: np.ndarray,
-                   delta: float) -> sp.csr_matrix:
-        """M2/delta - J, with J = dF/d(u, v) from the nodal Jacobian."""
-        cfg = self.config
-        jac = cfg.model.jacobian(u, v)
-        M, n = self.M, len(u)
-
-        def gamma_m(x) -> sp.spmatrix:  # gamma M diag(x), x nodal or scalar
-            return M @ sp.diags(cfg.gamma * np.broadcast_to(
-                np.asarray(x, dtype=float), (n,)))
-
-        return sp.bmat([
-            [M / delta + self.A - gamma_m(jac.f_u), -gamma_m(jac.f_v)],
-            [-gamma_m(jac.g_u), M / delta + cfg.d * self.A - gamma_m(jac.g_v)],
-        ], format="csr")
+    def ptc_matrix(self, w: np.ndarray, delta: float) -> sp.csr_matrix:
+        """M2/delta + D - gamma M2 J_R(w), with J_R the nodal Jacobian of R
+        as a 2x2 block of diagonals."""
+        n = len(w) // 2
+        jac = self.config.model.jacobian(w[:n], w[n:])
+        J_R = sp.bmat([[sp.diags(np.broadcast_to(x, (n,)).astype(float))
+                        for x in row]
+                       for row in ((jac.f_u, jac.f_v), (jac.g_u, jac.g_v))])
+        return (self.M2 / delta + self.D
+                - self.config.gamma * (self.M2 @ J_R)).tocsr()
 
 
-def _ptc_finish(stepper: ImexStepper, u: np.ndarray, v: np.ndarray):
-    """PTC from the switch state (u, v).
+def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
+    """PTC from the switch state w.
 
-    Returns (steps taken, result): result is (u, v, derivative norm) of
-    the first post-IMEX state that passes the stop test, or None when PTC
-    failed and the caller should go on from (u, v) with IMEX.
+    Returns (steps taken, result): result is (w, derivative norm) of the
+    first post-IMEX state that passes the stop test, or None when PTC
+    failed and the caller should go on from w with IMEX.
     """
-    n = len(u)
-    w = np.concatenate((u, v))
-    F = stepper.residual(u, v)
+    F = stepper.residual(w)
     f_norm = f_switch = np.linalg.norm(F)
     delta = PTC_DELTA0
     for k in range(1, PTC_MAX_STEPS + 1):
         try:
-            solver = SpdSolver(stepper.ptc_matrix(w[:n], w[n:], delta),
-                               rtol=SOLVER_RTOL)
+            solver = SpdSolver(stepper.ptc_matrix(w, delta), rtol=SOLVER_RTOL)
             w = w + solver.solve(F)
         except LinearSolveError:
             return k, None
-        F = stepper.residual(w[:n], w[n:])
+        F = stepper.residual(w)
         f_new = np.linalg.norm(F)
         if not f_new <= PTC_MAX_GROWTH * f_switch:  # also catches nan
             return k, None
-        u_new, v_new = stepper.step(w[:n], w[n:])
-        deriv, _ = stepper.norms(w[:n], w[n:], u_new, v_new)
+        dw = stepper.solver.solve(F)    # the IMEX step from w
+        deriv, _ = stepper.norms(w + dw, dw)
         if deriv < stepper.config.stop_tol:
-            return k, (u_new, v_new, deriv)
+            return k, (w + dw, deriv)
         delta *= f_norm / f_new
         f_norm = f_new
     return PTC_MAX_STEPS, None
@@ -243,10 +228,10 @@ def simulate(mesh: Mesh, config: SimulationConfig,
         A = assemble_stiffness(mesh)
     if initial is None:
         state = config.model.steady_state()
-        u, v = initial_condition(mesh, state, config.amplitude, config.seed)
-    else:
-        u, v = (np.asarray(initial[0], dtype=float),
-                np.asarray(initial[1], dtype=float))
+        initial = initial_condition(mesh, state, config.amplitude,
+                                    config.seed)
+    w = np.concatenate([np.asarray(x, dtype=float) for x in initial])
+    n = len(w) // 2
 
     stepper = ImexStepper(M, A, config)
     switch: SwitchRule | None = SwitchRule()
@@ -256,14 +241,13 @@ def simulate(mesh: Mesh, config: SimulationConfig,
     ptc_steps = 0
     status = SimulationStatus.MAX_TIME
     for step in range(1, n_steps + 1):
-        u_new, v_new = stepper.step(u, v)
+        dw = stepper.step(w)
+        w = w + dw
         t = step * config.tau
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        if not np.all(np.isfinite(w)):
             status = SimulationStatus.DIVERGED
-            u, v = u_new, v_new
             break
-        deriv, size = stepper.norms(u, v, u_new, v_new)
-        u, v = u_new, v_new
+        deriv, size = stepper.norms(w, dw)
         if size > DIVERGENCE_NORM:
             status = SimulationStatus.DIVERGED
             history.append((t, deriv))
@@ -271,7 +255,7 @@ def simulate(mesh: Mesh, config: SimulationConfig,
         if step % config.snapshot_stride == 0 or step == n_steps:
             history.append((t, deriv))
             if snapshot_callback is not None:
-                snapshot_callback(step, t, u, v)
+                snapshot_callback(step, t, w[:n], w[n:])
         if deriv < config.stop_tol:
             if not history or history[-1][0] != t:
                 history.append((t, deriv))
@@ -279,16 +263,17 @@ def simulate(mesh: Mesh, config: SimulationConfig,
             break
         if switch is not None and switch(deriv) and step < n_steps:
             switch = None   # one attempt; a failed one resumes IMEX here
-            ptc_steps, finished = _ptc_finish(stepper, u, v)
+            ptc_steps, finished = _ptc_finish(stepper, w)
             if finished is not None:
-                u, v, deriv = finished
+                w, deriv = finished
                 t = (step + 1) * config.tau
                 history.append((t, deriv))
                 status = SimulationStatus.CONVERGED
                 break
     residual_norm = None
     if status is not SimulationStatus.DIVERGED:
-        residual_norm = float(np.linalg.norm(stepper.residual(u, v)))
-    return SimulationOutcome(u=u, v=v, elapsed=t, history=tuple(history),
-                             status=status, ptc_steps=ptc_steps,
+        residual_norm = float(np.linalg.norm(stepper.residual(w)))
+    return SimulationOutcome(u=w[:n], v=w[n:], elapsed=t,
+                             history=tuple(history), status=status,
+                             ptc_steps=ptc_steps,
                              residual_norm=residual_norm)

@@ -38,12 +38,24 @@ def test_eigs_subcommand_outputs(tmp_path):
     assert (tmp_path / "out" / "eigenvectors.vtk").exists()
 
 
-def test_eigs_deterministic_bytes(tmp_path):
+def _rerun_changes(tmp_path, command, names):
+    """Run `command` twice at the config's seed; the artifacts that differ."""
     path = write_config(tmp_path)
-    main(["eigs", "--config", str(path)])
-    first = (tmp_path / "out" / "eigenvalues.csv").read_bytes()
-    main(["eigs", "--config", str(path)])
-    assert (tmp_path / "out" / "eigenvalues.csv").read_bytes() == first
+    assert main([command, "--config", str(path)]) == 0
+    first = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+    assert main([command, "--config", str(path)]) == 0
+    return [name for name in names
+            if (tmp_path / "out" / name).read_bytes() != first[name]]
+
+
+def test_eigs_deterministic_bytes(tmp_path):
+    assert _rerun_changes(tmp_path, "eigs", ["eigenvalues.csv"]) == []
+
+
+def test_pipeline_deterministic_bytes(tmp_path):
+    assert _rerun_changes(tmp_path, "pipeline", [
+        "isolation.json", "outcome.json", "match.json",
+        "derivative_history.csv", "final_state.vtk"]) == []
 
 
 def test_isolate_subcommand(tmp_path):
@@ -56,16 +68,19 @@ def test_isolate_subcommand(tmp_path):
 
 
 def test_config_error_exit_code_and_no_outputs(tmp_path):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump({
-        "mesh": {"generator": "rectangle",
-                 "params": {"lx": 1.0, "ly": 1.0, "nx": 8, "ny": 8}},
-        "isolation": {"target_index": 1},
-        "simulation": {"tau": -1e-3},
-        "output_dir": str(tmp_path / "never"),
-    }))
-    assert main(["simulate", "--config", str(bad)]) == 2
-    assert not (tmp_path / "never").exists()
+    # tau 0.05 is above MAX_STABLE_TAU: the pipeline must not run the
+    # eigensolve and write isolation.json before rejecting it
+    for command, tau in (("simulate", -1e-3), ("pipeline", 0.05)):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({
+            "mesh": {"generator": "rectangle",
+                     "params": {"lx": 1.0, "ly": 1.0, "nx": 8, "ny": 8}},
+            "isolation": {"target_index": 1},
+            "simulation": {"tau": tau},
+            "output_dir": str(tmp_path / "never"),
+        }))
+        assert main([command, "--config", str(bad)]) == 2
+        assert not (tmp_path / "never").exists()
 
 
 def test_mesh_params_error_is_config_error(tmp_path, capsys):

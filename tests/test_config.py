@@ -44,9 +44,11 @@ def test_generator_and_off_path_mutually_exclusive():
 
 
 def test_negative_tau_rejected():
-    bad = dict(MINIMAL, simulation={"tau": -1e-3})
-    with pytest.raises(ConfigError, match="tau"):
-        RunConfig.parse(bad)
+    # 0.05 is above MAX_STABLE_TAU: rejected here, before any stage runs
+    for tau in (-1e-3, 0.05):
+        bad = dict(MINIMAL, simulation={"tau": tau})
+        with pytest.raises(ConfigError, match=r"simulation\.tau"):
+            RunConfig.parse(bad)
 
 
 # YAML `true` and `.inf` load as the Python bool and float they look like

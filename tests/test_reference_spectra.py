@@ -10,8 +10,7 @@ from modeiso.reference_spectra import (AnalyticEigenvalue,
                                        eigenvalue_array, rectangle_neumann,
                                        real_spherical_harmonic,
                                        sphere_bulk_spectrum,
-                                       sphere_surface_spectrum,
-                                       spherical_bessel_j)
+                                       sphere_surface_spectrum)
 
 
 def test_rectangle_unit_square_first_modes():
@@ -35,24 +34,6 @@ def test_sphere_surface_levels_and_multiplicity():
     assert entries[4].multiplicity == 5
 
 
-def test_spherical_bessel_matches_scipy():
-    for l in range(7):
-        for x in (0.3, 1.0, 2.5, 7.7, 15.0):
-            j, dj = spherical_bessel_j(l, x)
-            assert j == pytest.approx(float(spherical_jn(l, x)),
-                                      rel=1e-12, abs=1e-14)
-            assert dj == pytest.approx(float(spherical_jn(l, x,
-                                                          derivative=True)),
-                                       rel=1e-10, abs=1e-13)
-
-
-def test_spherical_bessel_at_origin():
-    j0, dj0 = spherical_bessel_j(0, 0.0)
-    assert (j0, dj0) == (1.0, 0.0)
-    j2, dj2 = spherical_bessel_j(2, 0.0)
-    assert (j2, dj2) == (0.0, 0.0)
-
-
 def test_bessel_derivative_roots_known_values():
     # smallest Neumann wavenumbers of the unit ball, 5 significant figures
     assert bessel_derivative_roots(1)[0] == pytest.approx(2.08158, abs=5e-6)
@@ -66,7 +47,7 @@ def test_bessel_derivative_roots_known_values():
 def test_roots_are_actual_critical_points():
     for l in range(5):
         for r in bessel_derivative_roots(l, k_max=12.0):
-            assert abs(spherical_bessel_j(l, r)[1]) < 1e-9
+            assert abs(spherical_jn(l, r, derivative=True)) < 1e-9
 
 
 def test_sphere_bulk_spectrum_structure():
@@ -77,6 +58,17 @@ def test_sphere_bulk_spectrum_structure():
     assert np.allclose(vals[4:9], 3.34209 ** 2, rtol=1e-5)
     assert entries[1].multiplicity == 3
     assert entries[0].label == (0, 1, 0)
+
+
+def test_sphere_bulk_spectrum_includes_every_degree_below_k_max():
+    # the first root of j_7' is 8.93484, below the default k_max of 20:
+    # its 15-fold level sits between the l = 3 and l = 1 levels
+    entries = sphere_bulk_spectrum(90)
+    level = [e for e in entries if e.label[0] == 7]
+    assert len(level) == 15
+    assert all(e.multiplicity == 15 for e in level)
+    assert math.sqrt(level[0].value) == pytest.approx(8.93484, abs=5e-6)
+    assert entries[66].label[0] == 7
 
 
 def test_sphere_bulk_spectrum_range_error():

@@ -59,10 +59,10 @@ def test_pure_diffusion_conserves_mass(small_mesh):
     ones = np.ones_like(u)
     stepper = ImexStepper(M, A, config)
     mass = ones @ (M @ u)
-    v = u.copy()
+    w = np.concatenate((u, u))
     for _ in range(200):
-        u, v = stepper.step(u, v)
-        new_mass = ones @ (M @ u)
+        w = w + stepper.step(w)
+        new_mass = ones @ (M @ w[:len(u)])
         assert abs(new_mass - mass) < 1e-9 * abs(mass)  # per-step drift
         mass = new_mass
 
@@ -76,9 +76,10 @@ def test_stepper_matches_dense_reference_loop():
     u0, v0 = initial_condition(mesh, model.steady_state(), 0.01, seed=3)
 
     stepper = ImexStepper(M, A, config)
-    u, v = u0, v0
+    w = np.concatenate((u0, v0))
     for _ in range(200):
-        u, v = stepper.step(u, v)
+        w = w + stepper.step(w)
+    u, v = np.split(w, 2)
 
     # The scheme written out step by step, solved by dense LAPACK.
     tau, gamma = config.tau, config.gamma
@@ -171,10 +172,9 @@ def test_ptc_matrix_is_the_jacobian_of_the_residual(small_mesh, model):
     w = np.concatenate((state.u * (1 + 0.1 * rng.random(n)),
                         state.v * (1 + 0.1 * rng.random(n))))
     e, h = rng.standard_normal(2 * n), 1e-6
-    fd = (stepper.residual(*np.split(w + h * e, 2))
-          - stepper.residual(*np.split(w - h * e, 2))) / (2 * h)
+    fd = (stepper.residual(w + h * e) - stepper.residual(w - h * e)) / (2 * h)
     # at delta = inf the PTC matrix is -J
-    minus_J = stepper.ptc_matrix(w[:n], w[n:], np.inf)
+    minus_J = stepper.ptc_matrix(w, np.inf)
     assert np.abs(minus_J @ e + fd).max() < 1e-7 * np.abs(fd).max()
 
 
@@ -207,15 +207,15 @@ def growth():
 def _imex_reference(mesh, M, A, config):
     """The fixed-tau loop alone, run to the same stop test."""
     stepper = ImexStepper(M, A, config)
-    u, v = initial_condition(mesh, config.model.steady_state(),
-                             config.amplitude, config.seed)
+    w = np.concatenate(initial_condition(mesh, config.model.steady_state(),
+                                         config.amplitude, config.seed))
     for step in range(1, int(round(config.max_time / config.tau)) + 1):
-        u_new, v_new = stepper.step(u, v)
-        du, dv = (u_new - u) / config.tau, (v_new - v) / config.tau
+        dw = stepper.step(w)
+        du, dv = np.split(dw / config.tau, 2)
         deriv = np.sqrt(du @ (M @ du)) + np.sqrt(dv @ (M @ dv))
-        u, v = u_new, v_new
+        w = w + dw
         if deriv < config.stop_tol:
-            return u, v, step * config.tau
+            return (*np.split(w, 2), step * config.tau)
     raise AssertionError("reference loop did not converge")
 
 
@@ -246,8 +246,8 @@ def test_ptc_finish_matches_imex_reference(growth):
     assert report.correlation == pytest.approx(ref.correlation, abs=1e-6)
 
 
-def _singular_ptc_matrix(self, u, v, delta):
-    return sp.csr_matrix((2 * len(u), 2 * len(u)))
+def _singular_ptc_matrix(self, w, delta):
+    return sp.csr_matrix((len(w), len(w)))
 
 
 @pytest.mark.parametrize("failure", ["solve", "step_cap", "growth"])
