@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Compute the smallest Laplace-Beltrami eigenvalues on an icosphere and
-compare the clusters with the analytic l(l+1) levels."""
+compare each level l, the 2l+1 values at indices l^2 .. (l+1)^2 - 1,
+with the analytic l(l+1).  Only the levels that the count fully covers
+are printed."""
 
 import argparse
+import math
 
 import numpy as np
 
 import modeiso as mi
-from modeiso.pattern_metrics import cluster_spectrum
 
 
 def main() -> None:
@@ -20,13 +22,13 @@ def main() -> None:
     M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
     spec = mi.smallest_eigenpairs(A, M, count=args.count, tol=1e-9, seed=0)
     print(f"icosphere({args.refinement}): {mesh.n_vertices} vertices")
-    print(f"{'cluster':>8} {'size':>5} {'mean':>10} {'l(l+1)':>8} {'err':>8}")
-    for level, cluster in enumerate(cluster_spectrum(spec.eigenvalues)):
-        mean = float(np.mean(spec.eigenvalues[cluster]))
+    print(f"{'l':>3} {'mean':>10} {'l(l+1)':>8} {'err':>8}")
+    for level in range(math.isqrt(len(spec))):
+        values = spec.eigenvalues[level ** 2:(level + 1) ** 2]
+        mean = float(np.mean(values))
         exact = level * (level + 1)
         err = "-" if exact == 0 else f"{100 * (mean - exact) / exact:.2f}%"
-        print(f"{level:>8} {len(cluster):>5} {mean:>10.4f} {exact:>8} "
-              f"{err:>8}")
+        print(f"{level:>3} {mean:>10.4f} {exact:>8} {err:>8}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from .eigensolver import (EigensolverError, Spectrum, dense_generalized_eig,
 from .fem import (assemble_mass, assemble_stiffness, interpolate, m_inner,
                   m_norm)
 from .isolation import (IsolationError, IsolationResult, IsolationStatus,
-                        isolate_mode, verify_isolation)
+                        isolate_mode, pair_isolation, verify_isolation)
 from .kinetics import (Jacobian2x2, KineticsError, KineticsModel, SteadyState,
                        TuringReport, critical_diffusion_ratio, dispersion,
                        gierer_meinhardt, make_model, schnakenberg, thomas,
@@ -24,7 +24,7 @@ from .mesh import (DEFORMATION_PRESETS, Mesh, MeshError, MeshKind,
                    generate_disk, generate_icosphere, generate_interval,
                    generate_rectangle, generate_tube, map_vertices)
 from .meshio import MeshIOError, read_off, read_vtk, write_vtk
-from .pattern_metrics import MatchReport, cluster_spectrum, match_pattern
+from .pattern_metrics import MatchReport, match_pattern
 from .reference_spectra import (AnalyticEigenvalue, bessel_derivative_roots,
                                 real_spherical_harmonic, rectangle_neumann,
                                 sphere_bulk_spectrum, sphere_surface_spectrum)

@@ -27,9 +27,8 @@ from .config import ConfigError, RunConfig, load_config
 from .eigensolver import EigensolverError, Spectrum, smallest_eigenpairs
 from .fem import assemble_mass, assemble_stiffness
 from .isolation import (IsolationError, IsolationResult, IsolationStatus,
-                        isolate_mode, verify_isolation)
-from .kinetics import (Jacobian2x2, KineticsError, critical_diffusion_ratio,
-                       wavenumber_window)
+                        isolate_mode, pair_isolation)
+from .kinetics import Jacobian2x2, KineticsError
 from .meshio import read_vtk, write_vtk
 from .pattern_metrics import match_pattern
 from .simulator import SimulationConfig, SimulationStatus, simulate
@@ -42,7 +41,8 @@ EXIT_MATCH = 3
 
 
 class StageError(RuntimeError):
-    """A stage's input is missing: no saved state or no (d, gamma)."""
+    """A stage's input is missing: no saved state, or no (d, gamma) or
+    excited set because the isolation failed."""
 
 
 def _fmt(x: float) -> str:
@@ -103,21 +103,12 @@ class Run:
     @cached_property
     def isolation(self) -> IsolationResult:
         """The search's result, or the explicit pair and what it excites."""
+        if self.explicit_pair is not None:
+            return pair_isolation(self.spectrum, self.J, *self.explicit_pair)
         iso = self.config.isolation
-        if self.explicit_pair is None:
-            return isolate_mode(self.spectrum, iso["target_index"], self.J,
-                                gamma0=iso["gamma0"], eps0=iso["eps0"],
-                                max_iters=iso["max_iters"],
-                                delta=iso["delta"])
-        d, gamma = self.explicit_pair
-        excited = verify_isolation(self.spectrum, self.J, d, gamma)
-        status = (IsolationStatus.UNIQUE if len(excited) == 1
-                  else IsolationStatus.CLUSTERED if excited
-                  else IsolationStatus.FAILED)
-        return IsolationResult(status, d, gamma,
-                               wavenumber_window(self.J, d, gamma),
-                               tuple(excited),
-                               critical_diffusion_ratio(self.J))
+        return isolate_mode(self.spectrum, iso["target_index"], self.J,
+                            gamma0=iso["gamma0"], eps0=iso["eps0"],
+                            max_iters=iso["max_iters"], delta=iso["delta"])
 
     @property
     def pair(self) -> tuple[float, float]:
@@ -213,15 +204,17 @@ def cmd_simulate(run: Run) -> int:
 
 
 def cmd_match(run: Run) -> int:
-    """Write match.json; the exit code says whether the threshold is met."""
-    match = run.config.match
-    report = match_pattern(run.final_u, run.spectrum, run.M,
-                           cluster_gap=match["cluster_gap"])
+    """Write match.json, scored against the isolation's excited set; the
+    exit code says whether the threshold is met."""
+    u, isolation = run.final_u, run.isolation
+    if isolation.status is IsolationStatus.FAILED:
+        raise StageError("isolation failed, no eigenspace to match against")
+    report = match_pattern(u, run.spectrum, run.M, isolation.excited_indices)
     run.write_json("match.json", report.as_dict())
+    threshold = run.config.match["threshold"]
     print(f"match: best_index={report.best_index} "
-          f"correlation={report.correlation:.4f} "
-          f"(threshold {match['threshold']})")
-    return EXIT_MATCH if report.correlation < match["threshold"] else EXIT_OK
+          f"correlation={report.correlation:.4f} (threshold {threshold})")
+    return EXIT_MATCH if report.correlation < threshold else EXIT_OK
 
 
 def cmd_pipeline(run: Run) -> int:

@@ -185,8 +185,7 @@ class RunConfig:
                               f"{MAX_STABLE_TAU}, got {sim['tau']!r}")
         match = _parse_scalar_section(
             data.get("match"), "match",
-            {"threshold": 0.8, "cluster_gap": 1e-3},
-            positives={"threshold", "cluster_gap"})
+            {"threshold": 0.8}, positives={"threshold"})
         output_dir = data.get("output_dir", "out")
         if not isinstance(output_dir, str):
             raise ConfigError("output_dir: expected a string")

@@ -67,6 +67,22 @@ def verify_isolation(spectrum, J: Jacobian2x2, d: float,
     return _inside(eigenvalue_array(spectrum), wavenumber_window(J, d, gamma))
 
 
+def _status(excited) -> IsolationStatus:
+    """UNIQUE for one excited index, CLUSTERED for several, FAILED for none."""
+    return (IsolationStatus.UNIQUE if len(excited) == 1
+            else IsolationStatus.CLUSTERED if excited
+            else IsolationStatus.FAILED)
+
+
+def pair_isolation(spectrum, J: Jacobian2x2, d: float,
+                   gamma: float) -> IsolationResult:
+    """The isolation result of a given (d, gamma): what its window excites."""
+    excited = verify_isolation(spectrum, J, d, gamma)
+    return IsolationResult(_status(excited), d, gamma,
+                           wavenumber_window(J, d, gamma), tuple(excited),
+                           critical_diffusion_ratio(J))
+
+
 def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
                  gamma0: float = 10.0, eps0: float | None = None,
                  max_iters: int = 500, delta: float = 1e-3
@@ -128,9 +144,7 @@ def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
                         i in cluster for i in excited_c):
                     gamma, window, excited = gamma_c, window_c, excited_c
                     trace.append((d, gamma, window))
-                status = (IsolationStatus.UNIQUE if excited == [target_index]
-                          else IsolationStatus.CLUSTERED)
-                return IsolationResult(status, d, gamma, window,
+                return IsolationResult(_status(excited), d, gamma, window,
                                        tuple(excited), d_c, tuple(trace))
             if eps > eps_floor:
                 eps = max(eps - d_c / EPS_SHRINK_DIVISOR, eps_floor)

@@ -1,14 +1,16 @@
-"""Quantitative comparison of converged patterns with eigenfunctions.
+"""Quantitative comparison of a converged pattern with its target eigenspace.
 
-Eigenvalues are grouped into near-degenerate clusters and the centered,
-M-normalized pattern is projected onto each cluster's eigenspace; the
-best cluster is the one capturing the most of the pattern's energy.
-This makes the comparison invariant to scale, sign and rotations within
-a degenerate eigenspace.
+The target is the set of eigenpairs the isolation excites.  The centered,
+M-normalized pattern is M-projected once onto the span of their
+eigenvectors, and the correlation is the M-norm of that projection.
+This makes the comparison invariant to scale and sign, and to any linear
+combination within the target: when several eigenvalues fall in the
+admissible window, the grown pattern can mix their eigenfunctions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,6 @@ import scipy.sparse as sp
 from .eigensolver import Spectrum
 from .fem import m_inner, m_norm
 
-DEFAULT_CLUSTER_GAP = 1e-3
 UNIFORM_TOL = 1e-12
 
 
@@ -37,27 +38,16 @@ class MatchReport:
                 "uniform": self.uniform}
 
 
-def cluster_spectrum(eigenvalues: np.ndarray,
-                     gap: float = DEFAULT_CLUSTER_GAP) -> list[list[int]]:
-    """Group ascending eigenvalues into clusters by relative gap."""
-    clusters: list[list[int]] = []
-    for i, lam in enumerate(eigenvalues):
-        if clusters:
-            prev = eigenvalues[clusters[-1][-1]]
-            scale = max(abs(lam), abs(prev), 1e-30)
-            if abs(lam - prev) <= gap * scale:
-                clusters[-1].append(i)
-                continue
-        clusters.append([i])
-    return clusters
-
-
 def match_pattern(pattern: np.ndarray, spectrum: Spectrum, M: sp.spmatrix,
-                  cluster_gap: float = DEFAULT_CLUSTER_GAP) -> MatchReport:
-    """Best eigenspace cluster for a pattern, by M-orthogonal projection."""
+                  target: Sequence[int]) -> MatchReport:
+    """Correlation of a pattern with the span of the target eigenvectors;
+    `best_index` is the target member with the largest |coefficient|."""
     p = np.asarray(pattern, dtype=float)
     if p.shape[0] != spectrum.vectors.shape[0]:
         raise ValueError("pattern and spectrum live on different meshes")
+    target = tuple(int(i) for i in target)
+    if not target:
+        raise ValueError("empty target eigenspace")
     ones = np.ones_like(p)
     mean = m_inner(M, ones, p) / m_inner(M, ones, ones)
     centered = p - mean
@@ -69,21 +59,11 @@ def match_pattern(pattern: np.ndarray, spectrum: Spectrum, M: sp.spmatrix,
                            uniform=True)
     centered /= norm
 
-    clusters = cluster_spectrum(spectrum.eigenvalues, cluster_gap)
-    best: tuple[float, list[int], np.ndarray] | None = None
-    for cluster in clusters:
-        basis = spectrum.vectors[:, cluster]           # M-orthonormal columns
-        coeffs = basis.T @ (M @ centered)
-        projection = basis @ coeffs
-        corr = min(m_norm(M, projection), 1.0)
-        if best is None or corr > best[0]:
-            best = (corr, cluster, projection)
-    corr, cluster, projection = best
+    basis = spectrum.vectors[:, list(target)]          # M-orthonormal columns
+    coeffs = basis.T @ (M @ centered)
+    projection = basis @ coeffs
     residual = m_norm(M, centered - projection)
-    best_coeff_pos = int(np.argmax(np.abs(
-        spectrum.vectors[:, cluster].T @ (M @ centered))))
-    return MatchReport(best_index=cluster[best_coeff_pos],
-                       correlation=corr,
+    return MatchReport(best_index=target[int(np.argmax(np.abs(coeffs)))],
+                       correlation=min(m_norm(M, projection), 1.0),
                        projection_residual=min(residual, 1.0),
-                       eigenspace=tuple(cluster))
-
+                       eigenspace=target)

@@ -57,46 +57,45 @@ def sphere_surface_spectrum(count: int) -> list[AnalyticEigenvalue]:
     return entries[:count]
 
 
-def _bisect_root(fn, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("no sign change in bracket")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def bessel_derivative_roots(l: int, k_max: float = 20.0,
-                            scan_step: float = 0.05) -> list[float]:
-    """Positive roots of j_l'(x) on (0, k_max], by bracketing + bisection."""
-    def deriv(x: float) -> float:
-        return float(spherical_jn(l, x, derivative=True))
-
+def _brackets(l: int, k_max: float, scan_step: float):
+    """Scan j_l' on (0, k_max]: each grid point where it is exactly 0 and
+    each sign change, as arrays (l, lo, hi, j_l'(lo))."""
     # start past the origin where j_l' ~ x^(l-1) has a known sign; the
     # grid accumulates scan_step and is evaluated in one call
     xs = [scan_step]
     while xs[-1] + scan_step <= k_max + 1e-12:
         xs.append(xs[-1] + scan_step)
-    fs = spherical_jn(l, np.array(xs), derivative=True)
-    roots = []
-    for i in range(len(xs) - 1):
-        if fs[i] == 0.0:
-            roots.append(xs[i])
-        elif fs[i] * fs[i + 1] < 0:
-            roots.append(_bisect_root(deriv, xs[i], xs[i + 1]))
-    return roots
+    xs = np.array(xs)
+    fs = spherical_jn(l, xs, derivative=True)
+    keep = (fs[:-1] == 0.0) | (fs[:-1] * fs[1:] < 0)
+    return np.full(keep.sum(), l), xs[:-1][keep], xs[1:][keep], fs[:-1][keep]
+
+
+def _bisect(brackets, xtol: float = 1e-10) -> list[list[float]]:
+    """Roots of j_l' in the brackets of every degree, bisected together
+    with one `spherical_jn` call per step; a bracket end or midpoint where
+    j_l' is exactly 0 is its root.  One root list per `_brackets` entry."""
+    l, lo, hi, flo = (np.concatenate(c) for c in zip(*brackets))
+    root = np.where(flo == 0.0, lo, np.nan)
+    while True:
+        idx = np.flatnonzero(np.isnan(root) & (hi - lo > xtol))
+        if not idx.size:
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        fmid = spherical_jn(l[idx], mid, derivative=True)
+        root[idx[fmid == 0.0]] = mid[fmid == 0.0]
+        left = flo[idx] * fmid < 0
+        hi[idx[left]] = mid[left]
+        lo[idx[~left]], flo[idx[~left]] = mid[~left], fmid[~left]
+    root = np.where(np.isnan(root), 0.5 * (lo + hi), root)
+    ends = np.cumsum([len(b[1]) for b in brackets])[:-1]
+    return [part.tolist() for part in np.split(root, ends)]
+
+
+def bessel_derivative_roots(l: int, k_max: float = 20.0,
+                            scan_step: float = 0.05) -> list[float]:
+    """Positive roots of j_l'(x) on (0, k_max], by bracketing + bisection."""
+    return _bisect([_brackets(l, k_max, scan_step)])[0]
 
 
 def sphere_bulk_spectrum(count: int, k_max: float = 20.0,
@@ -106,11 +105,14 @@ def sphere_bulk_spectrum(count: int, k_max: float = 20.0,
     Level l contributes multiplicity 2l+1; the constant mode is labelled
     (0, 1) following the convention that k_{0,1} = 0.
     """
-    entries = [AnalyticEigenvalue(0.0, 1, (0, 1, 0))]
+    brackets = []
     for l in itertools.count():
-        roots = bessel_derivative_roots(l, k_max=k_max, scan_step=scan_step)
-        if not roots and l > 0:
+        degree = _brackets(l, k_max, scan_step)
+        if not degree[1].size and l > 0:
             break   # from l = 1 on, the first root of j_l' grows with l
+        brackets.append(degree)
+    entries = [AnalyticEigenvalue(0.0, 1, (0, 1, 0))]
+    for l, roots in enumerate(_bisect(brackets)):
         n0 = 2 if l == 0 else 1  # the l = 0 count starts after the k = 0 root
         for idx, k in enumerate(roots):
             lam = k * k

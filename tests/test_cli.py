@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from modeiso.cli import main
+from modeiso.meshio import read_vtk, write_vtk
 
 
 def write_config(tmp_path, **overrides):
@@ -166,6 +167,35 @@ def test_match_error_names_the_rejected_state_file(tmp_path, capsys):
     assert main(["match", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "non-finite" in err and str(state) in err
+
+
+def _eigenvector_state(tmp_path, path, index):
+    """A final_state.vtk whose u is 3 + the run's eigenvector `index`."""
+    assert main(["eigs", "--config", str(path)]) == 0
+    mesh, fields = read_vtk(str(tmp_path / "out" / "eigenvectors.vtk"))
+    write_vtk(mesh, {"u": 3.0 + fields[f"ev_{index:03d}"]},
+              str(tmp_path / "out" / "final_state.vtk"))
+
+
+def test_match_scores_against_the_excited_set(tmp_path):
+    path = write_config(tmp_path)   # target 1 excites the pair (1, 2)
+    _eigenvector_state(tmp_path, path, 2)
+    assert main(["match", "--config", str(path)]) == 0
+    # eigenvector 3 is a mode of its own, outside the excited set
+    _eigenvector_state(tmp_path, path, 3)
+    assert main(["match", "--config", str(path)]) == 3
+    match = json.loads((tmp_path / "out" / "match.json").read_text())
+    assert match["eigenspace"] == [1, 2]
+    assert match["correlation"] < 0.3
+
+
+def test_match_after_a_pair_that_excites_nothing_fails(tmp_path, capsys):
+    path = write_config(tmp_path, isolation={"d": 10.0, "gamma": 0.01})
+    assert main(["isolate", "--config", str(path)]) == 1
+    _eigenvector_state(tmp_path, path, 1)
+    capsys.readouterr()
+    assert main(["match", "--config", str(path)]) == 1
+    assert "error [match]:" in capsys.readouterr().err
 
 
 def test_target_and_pair_together_is_a_config_error(tmp_path):

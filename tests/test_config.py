@@ -29,6 +29,10 @@ def test_unknown_key_rejected_with_path():
     bad = dict(MINIMAL, simulation={"tua": 1e-3})
     with pytest.raises(ConfigError, match="simulation"):
         RunConfig.parse(bad)
+    # the match is scored against the isolation's excited set: no gap knob
+    bad = dict(MINIMAL, match={"cluster_gap": 1e-3})
+    with pytest.raises(ConfigError, match="match: unknown keys"):
+        RunConfig.parse(bad)
 
 
 def test_unknown_generator_rejected():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import modeiso as mi
 from modeiso.fem import interpolate
-from modeiso.pattern_metrics import cluster_spectrum, match_pattern
+from modeiso.pattern_metrics import match_pattern
 
 
 @pytest.fixture(scope="module")
@@ -18,25 +18,11 @@ def square_spectrum():
     return mesh, M, mi.smallest_eigenpairs(A, M, count=8, tol=1e-9, seed=0)
 
 
-def test_cluster_spectrum_groups_degenerate():
-    vals = np.array([0.0, 9.87, 9.87, 19.7, 39.4, 39.40001])
-    clusters = cluster_spectrum(vals, gap=1e-3)
-    assert clusters == [[0], [1, 2], [3], [4, 5]]
-
-
-def test_cluster_spectrum_partition_property():
-    rng = np.random.default_rng(0)
-    vals = np.sort(rng.random(30) * 100)
-    clusters = cluster_spectrum(vals)
-    flattened = [i for c in clusters for i in c]
-    assert flattened == list(range(30))
-
-
 def test_match_recovers_eigenfunction(square_spectrum):
     mesh, M, spec = square_spectrum
     pattern = interpolate(lambda x, y: 3.0 + 0.5 * math.cos(math.pi * x),
                           mesh)
-    report = match_pattern(pattern, spec, M)
+    report = match_pattern(pattern, spec, M, (1, 2))
     assert report.eigenspace == (1, 2)
     assert report.correlation > 0.999
     assert not report.uniform
@@ -47,14 +33,14 @@ def test_match_mixture_within_cluster(square_spectrum):
     pattern = interpolate(
         lambda x, y: math.cos(math.pi * x) + 2.0 * math.cos(math.pi * y),
         mesh)
-    report = match_pattern(pattern, spec, M)
+    report = match_pattern(pattern, spec, M, (1, 2))
     assert report.eigenspace == (1, 2)
     assert report.correlation > 0.999
 
 
 def test_uniform_pattern_flagged(square_spectrum):
     mesh, M, spec = square_spectrum
-    report = match_pattern(np.full(mesh.n_vertices, 7.3), spec, M)
+    report = match_pattern(np.full(mesh.n_vertices, 7.3), spec, M, (1, 2))
     assert report.uniform
     assert report.correlation == 0.0
     assert report.best_index == -1
@@ -62,10 +48,15 @@ def test_uniform_pattern_flagged(square_spectrum):
 
 def test_orthogonal_pattern_scores_low(square_spectrum):
     mesh, M, spec = square_spectrum
-    # a high-frequency field far outside the computed eigenspaces
-    pattern = interpolate(lambda x, y: math.cos(9 * math.pi * x), mesh)
-    report = match_pattern(pattern, spec, M)
-    assert report.correlation < 0.3
+    cases = [
+        # a high-frequency field far outside the computed eigenspaces
+        (lambda x, y: math.cos(9 * math.pi * x), range(1, len(spec))),
+        # the computed eigenfunction of index 3, outside the target
+        (lambda x, y: math.cos(math.pi * x) * math.cos(math.pi * y), (1, 2)),
+    ]
+    for field, target in cases:
+        report = match_pattern(interpolate(field, mesh), spec, M, target)
+        assert report.correlation < 0.3
 
 
 @settings(max_examples=20, deadline=None)
@@ -75,13 +66,16 @@ def test_match_invariant_to_affine_rescaling(square_spectrum, scale, offset,
                                              sign):
     mesh, M, spec = square_spectrum
     base = interpolate(lambda x, y: math.cos(math.pi * y), mesh)
-    r0 = match_pattern(base, spec, M)
-    r1 = match_pattern(sign * scale * base + offset, spec, M)
-    assert r1.eigenspace == r0.eigenspace
+    r0 = match_pattern(base, spec, M, (1, 2))
+    r1 = match_pattern(sign * scale * base + offset, spec, M, (1, 2))
     assert r1.correlation == pytest.approx(r0.correlation, abs=1e-9)
+    assert r1.projection_residual == pytest.approx(r0.projection_residual,
+                                                   abs=1e-9)
 
 
 def test_size_mismatch_rejected(square_spectrum):
-    _, M, spec = square_spectrum
+    mesh, M, spec = square_spectrum
     with pytest.raises(ValueError, match="mesh"):
-        match_pattern(np.zeros(5), spec, M)
+        match_pattern(np.zeros(5), spec, M, (1, 2))
+    with pytest.raises(ValueError, match="empty"):
+        match_pattern(np.zeros(mesh.n_vertices), spec, M, ())

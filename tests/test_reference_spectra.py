@@ -71,6 +71,47 @@ def test_sphere_bulk_spectrum_includes_every_degree_below_k_max():
     assert entries[66].label[0] == 7
 
 
+def _scalar_roots(l, k_max=20.0, scan_step=0.05, xtol=1e-10):
+    """Reference: the same scan, then one bracket at a time bisected with
+    one scalar j_l' evaluation per step."""
+    def deriv(x):
+        return float(spherical_jn(l, x, derivative=True))
+
+    xs = [scan_step]
+    while xs[-1] + scan_step <= k_max + 1e-12:
+        xs.append(xs[-1] + scan_step)
+    fs = spherical_jn(l, np.array(xs), derivative=True)
+    roots = []
+    for i in range(len(xs) - 1):
+        if fs[i] == 0.0:
+            roots.append(xs[i])
+        elif fs[i] * fs[i + 1] < 0:
+            lo, hi, flo = xs[i], xs[i + 1], fs[i]
+            while hi - lo > xtol:
+                mid = 0.5 * (lo + hi)
+                fmid = deriv(mid)
+                if fmid == 0.0:
+                    lo = hi = mid
+                elif flo * fmid < 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fmid
+            roots.append(0.5 * (lo + hi))
+    return roots
+
+
+def test_roots_equal_the_scalar_bisection_bit_for_bit():
+    # every bracket of every degree is bisected in one array per step;
+    # the arithmetic is unchanged, so the roots must be equal, not close
+    reference = {l: _scalar_roots(l) for l in range(30)}
+    for l, roots in reference.items():
+        assert bessel_derivative_roots(l) == roots
+    values = [0.0] + [k * k for l, roots in reference.items()
+                      for k in roots for _ in range(2 * l + 1)]
+    bulk = eigenvalue_array(sphere_bulk_spectrum(len(values)))
+    assert bulk.tolist() == sorted(values)
+
+
 def test_sphere_bulk_spectrum_range_error():
     with pytest.raises(ValueError, match="k_max"):
         sphere_bulk_spectrum(500, k_max=6.0)
