@@ -107,8 +107,7 @@ class Run:
             return pair_isolation(self.spectrum, self.J, *self.explicit_pair)
         iso = self.config.isolation
         return isolate_mode(self.spectrum, iso["target_index"], self.J,
-                            gamma0=iso["gamma0"], eps0=iso["eps0"],
-                            max_iters=iso["max_iters"], delta=iso["delta"])
+                            eps0=iso["eps0"], delta=iso["delta"])
 
     @property
     def pair(self) -> tuple[float, float]:

@@ -83,9 +83,12 @@ class MeshSpec:
                    deformation=deformation)
 
     def build(self) -> Mesh:
-        from .meshio import read_off
+        from .meshio import MeshIOError, read_off
         if self.off_path is not None:
-            mesh = read_off(self.off_path)
+            try:
+                mesh = read_off(self.off_path)
+            except (OSError, MeshIOError, meshmod.MeshError) as exc:
+                raise ConfigError(f"mesh.off_path: {exc}")
         else:
             builder, _ = _GENERATORS[self.generator]
             try:
@@ -165,10 +168,10 @@ class RunConfig:
             positives={"count", "tol"}, ints={"count", "seed"})
         iso = _parse_scalar_section(
             data.get("isolation"), "isolation",
-            {"target_index": None, "gamma0": 10.0, "eps0": None,
-             "max_iters": 500, "delta": 1e-3, "d": None, "gamma": None},
-            positives={"gamma0", "eps0", "max_iters", "delta", "d", "gamma"},
-            ints={"target_index", "max_iters"})
+            {"target_index": None, "eps0": None, "delta": 1e-3,
+             "d": None, "gamma": None},
+            positives={"eps0", "delta", "d", "gamma"},
+            ints={"target_index"})
         given = [iso[k] is not None for k in ("target_index", "d", "gamma")]
         if given not in ([True, False, False], [False, True, True]):
             raise ConfigError("isolation: exactly one of 'target_index' and "

@@ -54,6 +54,9 @@ def read_off(path: str | os.PathLike) -> Mesh:
         nv, nf = int(counts[0][1]), int(counts[1][1])
     except ValueError:
         raise MeshIOError(f"{path}:{counts[0][0]}: bad vertex/face counts")
+    if nv < 0 or nf < 0:
+        raise MeshIOError(f"{path}:{counts[0][0]}: negative vertex/face "
+                          f"counts {nv} {nf}")
     verts = np.empty((nv, 3))
     for i in range(nv):
         toks = take(3, f"vertex {i}")

@@ -196,8 +196,7 @@ def test_acceptance_6_isolation_soundness():
     while n_cases < 50:
         vals = spectra[int(rng.integers(len(spectra)))]
         target = int(rng.integers(1, len(vals)))
-        result = isolate_mode(vals, target, J,
-                              gamma0=float(rng.uniform(1.0, 40.0)))
+        result = isolate_mode(vals, target, J)
         n_cases += 1
         if result.status is IsolationStatus.UNIQUE:
             ok &= verify_isolation(vals, J, result.d,

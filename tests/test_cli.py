@@ -92,6 +92,12 @@ def test_mesh_params_error_is_config_error(tmp_path, capsys):
     assert "config error: mesh.params" in capsys.readouterr().err
 
 
+def test_missing_off_path_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, mesh={"off_path": str(tmp_path / "no.off")})
+    assert main(["mesh", "--config", str(path)]) == 2
+    assert "config error: mesh.off_path" in capsys.readouterr().err
+
+
 def test_kinetics_params_error_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, kinetics={"params": {"a": -1}})
     assert main(["isolate", "--config", str(path)]) == 2

@@ -33,6 +33,11 @@ def test_unknown_key_rejected_with_path():
     bad = dict(MINIMAL, match={"cluster_gap": 1e-3})
     with pytest.raises(ConfigError, match="match: unknown keys"):
         RunConfig.parse(bad)
+    # the admissible gamma interval is computed: no start or step budget
+    for key, value in (("gamma0", 10.0), ("max_iters", 500)):
+        bad = dict(MINIMAL, isolation={"target_index": 1, key: value})
+        with pytest.raises(ConfigError, match="isolation: unknown keys"):
+            RunConfig.parse(bad)
 
 
 def test_unknown_generator_rejected():

@@ -17,12 +17,17 @@ def J(schnakenberg_jacobian):
     return schnakenberg_jacobian
 
 
-def test_unique_isolation_on_rectangle(J):
-    vals = eigenvalue_array(rectangle_neumann(2.0, 1.0, 10))
-    result = isolate_mode(vals, 1, J)
+@pytest.mark.parametrize("lx, n, target", [
+    pytest.param(2.0, 10, 1, id="2x1-target1"),
+    # index 10 is 3% above the target: a gamma excludes it at the floor
+    pytest.param(1.25, 16, 9, id="1.25x1-target9"),
+])
+def test_unique_isolation_on_rectangle(J, lx, n, target):
+    vals = eigenvalue_array(rectangle_neumann(lx, 1.0, n))
+    result = isolate_mode(vals, target, J)
     assert result.status is IsolationStatus.UNIQUE
-    assert result.excited_indices == (1,)
-    assert verify_isolation(vals, J, result.d, result.gamma) == [1]
+    assert result.excited_indices == (target,)
+    assert verify_isolation(vals, J, result.d, result.gamma) == [target]
 
 
 def test_degenerate_pair_is_clustered(J):
@@ -40,15 +45,19 @@ def test_sphere_surface_cluster(J):
 
 
 def test_unavoidable_near_pair_is_clustered(J):
-    # the 20.1907 / 20.3771 bulk pair is 0.92% apart: no admissible window
-    # can contain one without the other
+    # the 20.1907 / 20.3771 bulk pair is 0.92% apart, yet a window whose
+    # lower edge lies between them excites the l = 3 level alone
     vals = eigenvalue_array(sphere_bulk_spectrum(20))
     target = int(np.argmin(np.abs(vals - 4.51410 ** 2)))
     result = isolate_mode(vals, target, J)
+    excited_vals = {round(float(vals[i]), 3) for i in result.excited_indices}
+    assert excited_vals == {round(4.51410 ** 2, 3)}
+    # a neighbour on each side within a/b = 1.01, less than the narrowest
+    # window's R/L at the eps floor: no gamma leaves them out
+    vals = np.array([0.0, 10.0, 19.9, 20.0, 20.1, 40.0])
+    result = isolate_mode(vals, 3, J)
     assert result.status is IsolationStatus.CLUSTERED
-    excited_vals = sorted({round(float(vals[i]), 3)
-                           for i in result.excited_indices})
-    assert excited_vals == [round(4.49341 ** 2, 3), round(4.51410 ** 2, 3)]
+    assert result.excited_indices == (2, 3, 4)
 
 
 def test_all_visited_d_above_critical(J):
@@ -90,12 +99,6 @@ def test_verify_isolation_pure_audit(J):
     assert excited == [i for i, v in enumerate(vals) if lo < v < hi]
 
 
-def test_failed_when_gamma_budget_too_small(J):
-    vals = eigenvalue_array(rectangle_neumann(2.0, 1.0, 10))
-    result = isolate_mode(vals, 8, J, gamma0=1e-6, max_iters=3)
-    assert result.status is IsolationStatus.FAILED
-
-
 @settings(max_examples=25, deadline=None)
 @given(target=st.integers(1, 12), seed=st.integers(0, 100))
 def test_isolation_soundness_property(target, seed):
@@ -105,10 +108,10 @@ def test_isolation_soundness_property(target, seed):
     rng = np.random.default_rng(seed)
     vals = eigenvalue_array(rectangle_neumann(1.0 + rng.random(),
                                               1.0 + rng.random(), 16))
-    result = isolate_mode(vals, target, Jm, gamma0=float(rng.uniform(1, 30)))
+    result = isolate_mode(vals, target, Jm)
+    assert result.status is not IsolationStatus.FAILED
     if result.status is IsolationStatus.UNIQUE:
         assert verify_isolation(vals, Jm, result.d, result.gamma) == [target]
-    if result.status is not IsolationStatus.FAILED:
-        assert target in result.excited_indices
+    assert target in result.excited_indices
     d_c = critical_diffusion_ratio(Jm)
     assert all(d > d_c for d, _, _ in result.trace)

@@ -34,9 +34,10 @@ def test_read_off_round(tmp_path):
 
 def test_read_off_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.off"
-    path.write_text("OFF\n4 4 6\n0 0 zero\n")
-    with pytest.raises(MeshIOError, match=r"bad.off:3"):
-        read_off(path)
+    for text in ("OFF\n4 4 6\n0 0 zero\n", "OFF\n# counts\n-1 0 0\n"):
+        path.write_text(text)
+        with pytest.raises(MeshIOError, match=r"bad.off:3"):
+            read_off(path)
 
 
 def test_read_off_rejects_quads(tmp_path):
