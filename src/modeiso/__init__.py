@@ -4,8 +4,8 @@ The toolkit covers the whole workflow: simplicial mesh generation and
 deformation, P1 mass/stiffness assembly (including Laplace-Beltrami on
 surfaces), a shift-invert Lanczos eigensolver, analytic reference
 spectra, Turing analysis of three reaction kinetics, the (d, gamma)
-mode-isolation search, an IMEX time stepper and quantitative pattern
-matching, tied together by a YAML-driven command line pipeline.
+mode-isolation search, a linearly implicit growth march and quantitative
+pattern matching, tied together by a YAML-driven command line pipeline.
 """
 
 from .config import ConfigError, RunConfig, load_config

@@ -8,7 +8,8 @@ once.  `pipeline` runs the isolate, simulate and match stages over one
 deterministic for fixed seeds: CSV/JSON byte-identical across reruns,
 VTK identical up to the documented float formatting.
 
-Exit codes: 0 success, 1 computation error, 2 configuration error,
+Exit codes: 0 success, 1 computation error (or a failed write),
+2 configuration error (or an output directory that cannot be created),
 3 pipeline match below threshold.
 """
 
@@ -257,14 +258,19 @@ def main(argv: list[str] | None = None) -> int:
                 eigensolver={**config.eigensolver, "seed": args.seed},
                 simulation={**config.simulation, "seed": args.seed})
         out = args.out or config.output_dir
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {out!r} cannot be "
+                              f"created: {exc.strerror}")
         return _COMMANDS[args.command](Run(config, out))
     except ConfigError as exc:
         # also raised while a stage builds its mesh or kinetics model
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EigensolverError, IsolationError, KineticsError,
-            LinearSolveError, StageError, ValueError) as exc:
+            LinearSolveError, OSError, StageError, ValueError) as exc:
+        # an OSError here is a stage's failed write, and names the file
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -252,12 +252,43 @@ def critical_diffusion_ratio(J: Jacobian2x2) -> float:
     raise KineticsError("no admissible critical diffusion ratio")
 
 
-def dispersion(J: Jacobian2x2, d: float, gamma: float, k2: float) -> float:
-    """c(k^2); negative exactly when the mode k^2 grows."""
-    if k2 < 0 or gamma <= 0:
+def dispersion(J: Jacobian2x2, d: float, gamma: float, k2):
+    """c(k^2), elementwise on an array of k^2; negative exactly when the
+    mode k^2 grows."""
+    if np.any(np.asarray(k2) < 0) or gamma <= 0:
         raise ValueError("need k2 >= 0 and gamma > 0")
     return (d * k2 * k2 - gamma * (d * J.f_u + J.g_v) * k2
             + gamma * gamma * J.det)
+
+
+def growth_rate(J: Jacobian2x2, d: float, gamma: float, k2):
+    """sigma(k^2): the largest real part of the roots of
+    sigma^2 - T sigma + c = 0, T(k^2) = gamma (f_u + g_v) - (1 + d) k^2,
+    elementwise on an array of k^2."""
+    k2 = np.asarray(k2, dtype=float)
+    T = gamma * J.trace - (1.0 + d) * k2
+    disc = T * T - 4.0 * dispersion(J, d, gamma, k2)
+    return 0.5 * (T + np.sqrt(np.maximum(disc, 0.0)))
+
+
+def max_growth_rate(J: Jacobian2x2, d: float, gamma: float) -> float:
+    """The largest sigma(k^2) over k^2 >= 0, in closed form.
+
+    sigma tends to -infinity with k^2 and falls wherever the roots are
+    complex (it is T/2 there), so the maximum is at k^2 = 0 or at a
+    stationary point of the larger real root.  On
+    det(sigma I - gamma J + diag(1, d) k^2) = 0, with
+    a = sigma - gamma f_u + k^2, that is where a^2 = -gamma^2 f_v g_u / d
+    and (d - 1) k^2 = gamma (g_v - f_u) - (1 + d) a; the larger root has
+    (1 - d) a > 0, and none exists for d = 1.
+    """
+    k2 = [0.0]
+    p = -J.f_v * J.g_u / d
+    if p > 0 and d != 1.0:
+        a = math.copysign(gamma * math.sqrt(p), 1.0 - d)
+        k2.append(max(0.0, (gamma * (J.g_v - J.f_u) - (1.0 + d) * a)
+                      / (d - 1.0)))
+    return float(growth_rate(J, d, gamma, k2).max())
 
 
 def dimensionless_window(J: Jacobian2x2, d: float) -> tuple[float, float]:

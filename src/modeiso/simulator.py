@@ -1,16 +1,33 @@
 """Finite element time stepping for the nondimensional reaction-diffusion
-system: IMEX growth, finished by pseudo-transient continuation.
+system: a linearly implicit growth march, finished by pseudo-transient
+continuation.
 
 Both phases carry one stacked state w = (u, v) and take one update form,
 w <- w + K^-1 F(w), on the residual F(w) = gamma M2 R(w) - D w.  Here
 M2 = diag(M, M), D = diag(A, d A), and R = (f, g) is evaluated nodally
 (the Lagrange interpolant of f and g).
 
-The growth phase is IMEX with K = M2/tau + D: diffusion implicit,
-reactions explicit.  It is the scheme (M/tau + A) u+ = M (u/tau + gamma f),
-and the same for v with d A, with u subtracted on both sides.  K is
-constant and SPD, so `SpdSolver` factors it once and reuses the factors on
-every step; the increment divided by tau is the step's time derivative.
+The growth march is linearly implicit Euler with
+K = M2/tau_g + D - gamma M2 J_R(w*): diffusion and the reactions
+linearized at the uniform steady state w* are implicit, the rest of the
+reactions explicit.  K is constant, so `SpdSolver` factors it once per
+run.  The step is sized by the dispersion relation: tau_g |sigma_max| =
+GROWTH_STEP, where sigma_max is the largest growth rate over k^2 >= 0
+(`kinetics.max_growth_rate`); implicit Euler on a growing mode needs
+tau sigma < 1.  When nothing grows, sigma_max < 0 is the slowest decay
+rate; when it is 0 there is no rate, and tau_g is tau.
+
+Each growth step also computes, from the same F(w), the IMEX increment
+(M2/tau + D)^-1 F(w) at the configured tau: the explicit-reaction step
+the march replaces.  Divided by tau it is the step's time derivative,
+and its norm is the quantity the stop test and `SwitchRule` read, as
+the PTC finish reads it after each of its steps.  Implicit Euler damps
+the uniform mode in a step or two, so this probe can fall below the stop
+tolerance next to the unstable uniform state before the target mode has
+grown.  So while some wavenumber grows (sigma_max > 0), no stop counts
+until `SwitchRule` has fired.  Arming is not enough: grown from a 1e-4
+perturbation, the norm can rise tenfold and still be below the stop
+tolerance.
 
 Once the run's own derivative history shows a grown pattern (see
 `SwitchRule`), `simulate` finishes with pseudo-transient continuation
@@ -20,7 +37,7 @@ evolution relaxation, delta <- delta ||F_old|| / ||F_new|| (Kelley &
 Keyes, SINUM 35, 1998).  After each PTC step one IMEX step from the PTC
 state applies the unchanged stop test, and the run returns that post-IMEX
 state.  When PTC fails (a failed solve, the step cap, or ||F|| growing),
-the fixed-tau loop resumes from the switch state.  Every solve is residual
+the growth march resumes from the switch state.  Every solve is residual
 checked.
 """
 
@@ -33,11 +50,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kinetics import KineticsModel, SteadyState
+from .kinetics import KineticsModel, SteadyState, max_growth_rate
 from .mesh import Mesh
 from .solvers import LinearSolveError, SpdSolver
 
-MAX_STABLE_TAU = 1e-2      # explicit reaction terms destabilize above this
+MAX_STABLE_TAU = 1e-2      # the IMEX probe's explicit reactions blow up above
+# tau_g sigma_max for the growth march.  0.2 and 0.3 converged every grow
+# config (seeds 1-20) and shipped config (seeds 1-10), 0.35 every shipped
+# one; at 0.4 the l = 2 sphere (configs/sphere_l2.yaml) never switched at
+# 6 of seeds 1-10 and cycled until max_time (derivative norm 1.07 at
+# seed 1).
+GROWTH_STEP = 0.3
 DIVERGENCE_NORM = 1e8
 SOLVER_RTOL = 1e-10        # ||b - K x|| <= SOLVER_RTOL ||b|| on every solve
 
@@ -50,14 +73,15 @@ SOLVER_RTOL = 1e-10        # ||b - K x|| <= SOLVER_RTOL ||b|| on every solve
 # pure-IMEX run's (seeds 1-5).
 SWITCH_RISE = 10.0
 SWITCH_FALL = 10.0
-# Starting pseudo-time step: 1 took 3-5 PTC steps per grow config, tau
-# (0.01) took 66-178.
+# Starting pseudo-time step: 1 takes 2-5 PTC steps per grow config after
+# the growth march (seeds 1-20, one run 14); after the former IMEX growth,
+# tau (0.01) took 66-178.
 PTC_DELTA0 = 1.0
-# The l = 2 sphere, whose near-neutral rotation slows PTC most, took
-# 23-45 steps (seeds 1-5).
+# The l = 2 sphere and the dumbbell pair, whose near-neutral rotations
+# slow PTC most, took 18-62 and 16-102 steps (seeds 1-10).
 PTC_MAX_STEPS = 200
 # ||F|| above this multiple of its value at the switch abandons PTC; the
-# largest ratio measured on the shipped and grow configs was 1.17.
+# largest ratio measured on the shipped and grow configs was 2.23.
 PTC_MAX_GROWTH = 10.0
 
 
@@ -95,7 +119,7 @@ class SimulationConfig:
 class SimulationOutcome:
     u: np.ndarray
     v: np.ndarray
-    elapsed: float             # IMEX time reached; PTC adds none
+    elapsed: float             # growth time reached; PTC adds tau
     history: tuple[tuple[float, float], ...]  # (t, derivative norm)
     status: SimulationStatus
     ptc_steps: int = 0         # PTC steps taken, an abandoned attempt too
@@ -136,7 +160,8 @@ class SwitchRule:
 
 class ImexStepper:
     """Prebuilt operators of the stacked system on a fixed mesh: the
-    residual F(w), the IMEX increment and the PTC matrix."""
+    residual F(w), the IMEX increment, the growth matrix and the PTC
+    matrix."""
 
     def __init__(self, M: sp.spmatrix, A: sp.spmatrix,
                  config: SimulationConfig):
@@ -145,6 +170,16 @@ class ImexStepper:
         self.D = sp.block_diag((A, config.d * A), format="csr")
         self.solver = SpdSolver(self.M2 / config.tau + self.D,
                                 rtol=SOLVER_RTOL)
+        state = config.model.steady_state()
+        self.w_star = np.repeat((state.u, state.v), M.shape[0])
+        self.sigma_max = max_growth_rate(
+            config.model.jacobian(state.u, state.v), config.d, config.gamma)
+        self.growth_tau = (GROWTH_STEP / abs(self.sigma_max)
+                           if self.sigma_max else config.tau)
+
+    def growth_solver(self, tau: float) -> SpdSolver:
+        """The growth matrix M2/tau + D - gamma M2 J_R(w*), factored."""
+        return SpdSolver(self.ptc_matrix(self.w_star, tau), rtol=SOLVER_RTOL)
 
     def residual(self, w: np.ndarray) -> np.ndarray:
         """F(w) = gamma M2 R(w) - D w, with R = (f, g) nodal."""
@@ -184,7 +219,7 @@ def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
 
     Returns (steps taken, result): result is (w, derivative norm) of the
     first post-IMEX state that passes the stop test, or None when PTC
-    failed and the caller should go on from w with IMEX.
+    failed and the caller should go on from w with the growth march.
     """
     F = stepper.residual(w)
     f_norm = f_switch = np.linalg.norm(F)
@@ -214,11 +249,12 @@ def simulate(mesh: Mesh, config: SimulationConfig,
              snapshot_callback=None) -> SimulationOutcome:
     """Run to the inhomogeneous steady state or to max_time.
 
-    Stops when m_norm(M, du/dt) + m_norm(M, dv/dt) < stop_tol for an IMEX
-    step, taken either in the fixed-tau loop or from a PTC state.  The
-    derivative history is recorded every snapshot_stride IMEX steps (plus
-    the final step, and the final PTC check); snapshot_callback(step, t,
-    u, v), when given, is invoked on the same stride.
+    Stops when m_norm(M, du/dt) + m_norm(M, dv/dt) < stop_tol for the
+    IMEX step from a growth state (once the stop counts, see the module
+    docstring) or from a PTC state.  The last growth step is shortened to
+    end at max_time.  The derivative history holds one entry per growth
+    step, plus the final PTC check; snapshot_callback(step, t, u, v), when
+    given, is invoked every snapshot_stride growth steps and on the last.
     """
     from .fem import assemble_mass, assemble_stiffness
 
@@ -234,39 +270,45 @@ def simulate(mesh: Mesh, config: SimulationConfig,
     n = len(w) // 2
 
     stepper = ImexStepper(M, A, config)
-    switch: SwitchRule | None = SwitchRule()
+    tau_g = stepper.growth_tau
+    growth = stepper.growth_solver(tau_g)
+    switch = SwitchRule()
     history: list[tuple[float, float]] = []
-    n_steps = int(round(config.max_time / config.tau))
+    n_steps = max(1, math.ceil(config.max_time / tau_g - 1e-9))
     t = 0.0
     ptc_steps = 0
     status = SimulationStatus.MAX_TIME
+    F = stepper.residual(w)
     for step in range(1, n_steps + 1):
-        dw = stepper.step(w)
-        w = w + dw
-        t = step * config.tau
+        if step == n_steps:     # shortened to end at max_time
+            last = config.max_time - t
+            if abs(last - tau_g) > 1e-9 * tau_g:
+                growth = stepper.growth_solver(last)
+        w = w + growth.solve(F)
+        t = config.max_time if step == n_steps else step * tau_g
         if not np.all(np.isfinite(w)):
             status = SimulationStatus.DIVERGED
             break
+        F = stepper.residual(w)
+        dw = stepper.solver.solve(F)
         deriv, size = stepper.norms(w, dw)
+        history.append((t, deriv))
         if size > DIVERGENCE_NORM:
             status = SimulationStatus.DIVERGED
-            history.append((t, deriv))
             break
-        if step % config.snapshot_stride == 0 or step == n_steps:
-            history.append((t, deriv))
-            if snapshot_callback is not None:
-                snapshot_callback(step, t, w[:n], w[n:])
-        if deriv < config.stop_tol:
-            if not history or history[-1][0] != t:
-                history.append((t, deriv))
+        if snapshot_callback is not None and (
+                step % config.snapshot_stride == 0 or step == n_steps):
+            snapshot_callback(step, t, w[:n], w[n:])
+        if deriv < config.stop_tol and (stepper.sigma_max <= 0
+                                        or ptc_steps > 0):
             status = SimulationStatus.CONVERGED
             break
-        if switch is not None and switch(deriv) and step < n_steps:
-            switch = None   # one attempt; a failed one resumes IMEX here
+        if ptc_steps == 0 and switch(deriv) and step < n_steps:
+            # one attempt; a failed one resumes the growth march here
             ptc_steps, finished = _ptc_finish(stepper, w)
             if finished is not None:
                 w, deriv = finished
-                t = (step + 1) * config.tau
+                t += config.tau
                 history.append((t, deriv))
                 status = SimulationStatus.CONVERGED
                 break

@@ -2,12 +2,12 @@
 
 `SpdSolver` wraps one fixed matrix for repeated solves: it factors the
 matrix once (SuperLU) and reuses the factors for every right-hand side.
-The eigensolver's shift-invert systems and the simulator's one stacked
-IMEX system diag(M/tau + A, M/tau + d A), which are SPD, go through it.
-So does the simulator's nonsymmetric pseudo-transient continuation
-matrix: the LU factorization and the residual check need no symmetry,
-and the name stays for its SPD callers.  Every solve checks the achieved
-residual, so callers never receive a silently bad solve.
+The eigensolver's shift-invert systems and the simulator's stacked IMEX
+probe system diag(M/tau + A, M/tau + d A), which are SPD, go through it.
+So do the simulator's nonsymmetric growth and pseudo-transient
+continuation matrices: the LU factorization and the residual check need
+no symmetry, and the name stays for its SPD callers.  Every solve checks
+the achieved residual, so callers never receive a silently bad solve.
 """
 
 from __future__ import annotations

@@ -98,6 +98,30 @@ def test_missing_off_path_is_config_error(tmp_path, capsys):
     assert "config error: mesh.off_path" in capsys.readouterr().err
 
 
+def test_uncreatable_output_directory_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for out in (blocker / "sub", blocker):
+        assert main(["mesh", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert str(out) in err[0]
+    # the same from the config's output_dir
+    nested = write_config(tmp_path, output_dir=str(blocker / "sub"))
+    assert main(["mesh", "--config", str(nested)]) == 2
+
+
+def test_failed_stage_write_is_an_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    target = tmp_path / "out" / "mesh.vtk"
+    target.mkdir(parents=True)      # the stage cannot open it for writing
+    assert main(["mesh", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error [mesh]: ")
+    assert str(target) in err[0]
+
+
 def test_kinetics_params_error_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, kinetics={"params": {"a": -1}})
     assert main(["isolate", "--config", str(path)]) == 2
@@ -213,7 +237,9 @@ def test_target_and_pair_together_is_a_config_error(tmp_path):
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
-    path = write_config(tmp_path)
+    # a growth march of ~30 steps: snapshot more often than every 100
+    simulation = {"snapshot_stride": 10}
+    path = write_config(tmp_path, simulation=simulation)
     code = main(["pipeline", "--config", str(path)])
     out_dir = tmp_path / "out"
     assert code == 0, capsys.readouterr()
@@ -232,7 +258,7 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     # match subcommand reuses the saved state
     assert main(["match", "--config", str(path)]) == 0
     # ... and enforces the threshold like the pipeline does
-    strict = write_config(tmp_path,
+    strict = write_config(tmp_path, simulation=simulation,
                           match={"threshold": match["correlation"] + 0.01})
     assert main(["match", "--config", str(strict)]) == 3
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modeiso as mi
-from modeiso.kinetics import (KineticsError, critical_diffusion_ratio,
-                              dimensionless_window, dispersion, make_model,
-                              turing_check, wavenumber_window)
+from modeiso.kinetics import (Jacobian2x2, KineticsError,
+                              critical_diffusion_ratio, dimensionless_window,
+                              dispersion, growth_rate, make_model,
+                              max_growth_rate, turing_check,
+                              wavenumber_window)
 
 MODELS = [mi.schnakenberg(), mi.gierer_meinhardt(), mi.thomas()]
 
@@ -144,3 +146,81 @@ def test_jacobian_at_arbitrary_point_matches_fd():
     fd = _fd_jacobian(model, 20.0, 10.0, h=1e-5)
     analytic = np.array([[J.f_u, J.f_v], [J.g_u, J.g_v]])
     assert np.abs(analytic - fd).max() < 1e-5 * np.abs(analytic).max()
+
+
+def _largest_real_eigenvalue(J, d, gamma, k2):
+    """max Re eig(gamma J - diag(1, d) k^2), one k^2 at a time."""
+    mats = np.empty((len(k2), 2, 2))
+    mats[:, 0, 0] = gamma * J.f_u - k2
+    mats[:, 0, 1] = gamma * J.f_v
+    mats[:, 1, 0] = gamma * J.g_u
+    mats[:, 1, 1] = gamma * J.g_v - d * k2
+    return np.linalg.eigvals(mats).real.max(axis=1)
+
+
+def _brute_force_max_growth(J, d, gamma):
+    """The largest real eigenvalue part over a k^2 grid, refined once
+    around its maximum; returns the coarse grid, its values and the
+    refined maximum."""
+    scale = gamma * max(abs(J.f_u), abs(J.f_v), abs(J.g_u), abs(J.g_v))
+    k2 = np.linspace(0.0, 20.0 * scale / min(1.0, d), 20_001)
+    sigma = _largest_real_eigenvalue(J, d, gamma, k2)
+    i = int(np.argmax(sigma))
+    fine = np.linspace(k2[max(i - 1, 0)], k2[min(i + 1, len(k2) - 1)],
+                       20_001)
+    return k2, sigma, _largest_real_eigenvalue(J, d, gamma, fine).max()
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("d, gamma", [(1.0, 20.0), (5.0, 3.0), (10.0, 15.0),
+                                      (40.0, 200.0), (0.2, 7.0)])
+def test_max_growth_rate_matches_brute_force_grid(model, d, gamma):
+    s = model.steady_state()
+    J = model.jacobian(s.u, s.v)
+    k2, sigma, grid_max = _brute_force_max_growth(J, d, gamma)
+    assert np.argmax(sigma) < len(k2) - 1
+    # sigma(k^2) is each grid point's largest real eigenvalue part
+    assert np.allclose(growth_rate(J, d, gamma, k2), sigma,
+                       rtol=1e-9, atol=1e-9 * gamma)
+    best = max_growth_rate(J, d, gamma)
+    assert best >= grid_max - 1e-12 * gamma
+    assert best == pytest.approx(grid_max, rel=1e-9, abs=1e-9 * gamma)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(entries=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       d=st.floats(0.05, 60.0), gamma=st.floats(0.1, 50.0))
+def test_max_growth_rate_bounds_every_wavenumber(entries, d, gamma):
+    J = Jacobian2x2(*entries)
+    k2, sigma, grid_max = _brute_force_max_growth(J, d, gamma)
+    assert np.argmax(sigma) < len(k2) - 1
+    best = max_growth_rate(J, d, gamma)
+    assert best >= grid_max - 1e-9 * gamma
+    assert best == pytest.approx(grid_max, rel=1e-8, abs=1e-8 * gamma)
+
+
+def test_growth_rate_sign_follows_dispersion(schnakenberg_jacobian):
+    J = schnakenberg_jacobian
+    d, gamma = 10.0, 15.0
+    lo, hi = wavenumber_window(J, d, gamma)
+    inside, outside = 0.5 * (lo + hi), np.array([0.5 * lo, 2.0 * hi])
+    assert growth_rate(J, d, gamma, inside) > 0
+    assert np.all(growth_rate(J, d, gamma, outside) < 0)
+    assert max_growth_rate(J, d, gamma) >= growth_rate(J, d, gamma, inside)
+    # below d_c nothing grows: the uniform mode's decaying oscillation
+    # has the largest real part, gamma trace / 2
+    assert max_growth_rate(J, 1.0, 20.0) == pytest.approx(20.0 * J.trace / 2)
+
+
+def test_max_growth_rate_under_species_swap(schnakenberg_jacobian):
+    # Swapping u and v and rescaling time by d gives the system with
+    # d' = 1/d, gamma' = gamma/d and the mirrored Jacobian, whose growth
+    # rates are sigma/d: the d < 1 side of the closed form.
+    J = schnakenberg_jacobian
+    mirrored = Jacobian2x2(J.g_v, J.g_u, J.f_v, J.f_u)
+    for d, gamma in [(10.0, 15.0), (40.0, 200.0), (5.0, 3.0)]:
+        swapped = max_growth_rate(mirrored, 1.0 / d, gamma / d)
+        assert swapped == pytest.approx(max_growth_rate(J, d, gamma) / d,
+                                        rel=1e-12, abs=1e-14)
+        _, _, grid_max = _brute_force_max_growth(mirrored, 1.0 / d, gamma / d)
+        assert swapped == pytest.approx(grid_max, rel=1e-9, abs=1e-12)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import modeiso as mi
 from modeiso import simulator
-from modeiso.eigensolver import smallest_eigenpairs
+from modeiso.eigensolver import dense_generalized_eig, smallest_eigenpairs
 from modeiso.isolation import IsolationStatus, isolate_mode
-from modeiso.kinetics import Jacobian2x2, KineticsModel, SteadyState
+from modeiso.kinetics import (Jacobian2x2, KineticsModel, SteadyState,
+                              growth_rate)
 from modeiso.pattern_metrics import match_pattern
 from modeiso.simulator import (ImexStepper, SimulationConfig,
                                SimulationStatus, SwitchRule,
@@ -76,23 +78,39 @@ def test_stepper_matches_dense_reference_loop():
     u0, v0 = initial_condition(mesh, model.steady_state(), 0.01, seed=3)
 
     stepper = ImexStepper(M, A, config)
+    tau_g = stepper.growth_tau
+    growth = stepper.growth_solver(tau_g)
     w = np.concatenate((u0, v0))
-    for _ in range(200):
-        w = w + stepper.step(w)
+    for _ in range(40):
+        w = w + growth.solve(stepper.residual(w))
     u, v = np.split(w, 2)
 
-    # The scheme written out step by step, solved by dense LAPACK.
-    tau, gamma = config.tau, config.gamma
-    K_u = (M / tau + A).toarray()
-    K_v = (M / tau + config.d * A).toarray()
+    # Linearly implicit Euler written out per species, with the kinetics
+    # Jacobian J at the steady state, solved by dense LAPACK:
+    # (M/tau_g + A - gamma f_u M) u+ - gamma f_v M v+
+    #     = M u/tau_g + gamma M (f - f_u u - f_v v), and the same for v.
+    state = model.steady_state()
+    J = model.jacobian(state.u, state.v)
+    gamma = config.gamma
+    Md, Ad = M.toarray(), A.toarray()
+    K = np.block([
+        [Md / tau_g + Ad - gamma * J.f_u * Md, -gamma * J.f_v * Md],
+        [-gamma * J.g_u * Md,
+         Md / tau_g + config.d * Ad - gamma * J.g_v * Md]])
+    factors = scipy.linalg.lu_factor(K)
     u_ref, v_ref = u0, v0
-    for _ in range(200):
+    for _ in range(40):
         fu, gv = model.f(u_ref, v_ref), model.g(u_ref, v_ref)
-        u_ref, v_ref = (
-            np.linalg.solve(K_u, gamma * (M @ fu) + (M @ u_ref) / tau),
-            np.linalg.solve(K_v, gamma * (M @ gv) + (M @ v_ref) / tau))
+        rhs = np.concatenate((
+            Md @ u_ref / tau_g
+            + gamma * Md @ (fu - J.f_u * u_ref - J.f_v * v_ref),
+            Md @ v_ref / tau_g
+            + gamma * Md @ (gv - J.g_u * u_ref - J.g_v * v_ref)))
+        u_ref, v_ref = np.split(scipy.linalg.lu_solve(factors, rhs), 2)
 
-    assert np.abs(u - u0).max() > 1e-4  # the steps did move the state
+    # sigma_max 2.8595: the 40 steps span t = 4.2, where the pattern grows
+    assert tau_g == pytest.approx(simulator.GROWTH_STEP / 2.8595, rel=1e-4)
+    assert np.abs(u - u0).max() > 0.5  # the pattern has grown to O(1)
     assert np.abs(u - u_ref).max() < 1e-8
     assert np.abs(v - v_ref).max() < 1e-8
 
@@ -122,7 +140,8 @@ def test_stable_regime_returns_to_uniform(small_mesh):
     assert np.abs(out.v - state.v).max() < 1e-4
 
 
-def test_history_recorded_on_stride(small_mesh):
+def test_history_holds_every_growth_step(small_mesh):
+    # no kinetics: sigma_max = 0, so the growth step is tau
     config = SimulationConfig(model=ZERO_KINETICS, d=1.0, gamma=1.0,
                               tau=1e-3, stop_tol=1e-30, max_time=0.05,
                               amplitude=0.0, snapshot_stride=10)
@@ -130,8 +149,7 @@ def test_history_recorded_on_stride(small_mesh):
     out = simulate(small_mesh, config, initial=(1.0 + x, 1.0 - x))
     assert out.status is SimulationStatus.MAX_TIME
     times = [t for t, _ in out.history]
-    assert times[0] == pytest.approx(0.01)
-    assert times[-1] == pytest.approx(0.05)
+    assert times == pytest.approx(1e-3 * np.arange(1, 51))
 
 
 def test_snapshot_callback_invoked(small_mesh):
@@ -204,6 +222,21 @@ def growth():
     return mesh, M, A, spectrum, config
 
 
+def test_growth_rate_bounds_the_rectangle_spectrum(growth):
+    mesh, M, A, spectrum, config = growth
+    stepper = ImexStepper(M, A, config)
+    state = config.model.steady_state()
+    J = config.model.jacobian(state.u, state.v)
+    # every eigenvalue of the 2:1 rectangle, and the Lanczos ones
+    lam = np.concatenate((dense_generalized_eig(A, M).eigenvalues,
+                          spectrum.eigenvalues))
+    sigma = growth_rate(J, config.d, config.gamma, np.maximum(lam, 0.0))
+    assert np.all(stepper.sigma_max >= sigma)
+    assert sigma.max() > 0           # the isolated mode 1 grows
+    assert stepper.growth_tau * stepper.sigma_max == pytest.approx(
+        simulator.GROWTH_STEP)
+
+
 def _imex_reference(mesh, M, A, config):
     """The fixed-tau loop alone, run to the same stop test."""
     stepper = ImexStepper(M, A, config)
@@ -221,7 +254,7 @@ def _imex_reference(mesh, M, A, config):
 
 def test_noise_decay_does_not_switch(growth):
     mesh, M, A, _, config = growth
-    # the norm bottoms out near t = 3 and is not 10x above that until t = 8
+    # the norm bottoms out near t = 1.2 and is not 10x above that until t = 6
     early = SimulationConfig(**{**config.__dict__, "max_time": 5.0})
     out = simulate(mesh, early, M=M, A=A)
     assert out.status is SimulationStatus.MAX_TIME
@@ -248,25 +281,82 @@ def test_ptc_finish_matches_imex_reference(growth):
     assert report.correlation == pytest.approx(ref.correlation, abs=1e-6)
 
 
-def _singular_ptc_matrix(self, w, delta):
-    return sp.csr_matrix((len(w), len(w)))
+def _march_reference(mesh, M, A, config):
+    """The growth march alone, without PTC: it stops at the first
+    derivative norm below stop_tol after `SwitchRule` has fired."""
+    stepper = ImexStepper(M, A, config)
+    growth = stepper.growth_solver(stepper.growth_tau)
+    w = np.concatenate(initial_condition(mesh, config.model.steady_state(),
+                                         config.amplitude, config.seed))
+    rule, fired = SwitchRule(), False
+    for step in range(1, int(config.max_time / stepper.growth_tau)):
+        w = w + growth.solve(stepper.residual(w))
+        du, dv = np.split(stepper.step(w) / config.tau, 2)
+        deriv = np.sqrt(du @ (M @ du)) + np.sqrt(dv @ (M @ dv))
+        if fired and deriv < config.stop_tol:
+            return (*np.split(w, 2), step * stepper.growth_tau)
+        fired = fired or rule(deriv)
+    raise AssertionError("reference march did not converge")
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_perturbation_grows_before_stopping(growth, amplitude, seed):
+    # Next to the unstable uniform state the derivative norm can dip below
+    # stop_tol before the target mode has grown; that is no steady state.
+    mesh, M, A, spectrum, config = growth
+    small = SimulationConfig(**{**config.__dict__, "amplitude": amplitude,
+                                "seed": seed})
+    out = simulate(mesh, small, M=M, A=A)
+    assert out.status is SimulationStatus.CONVERGED
+    assert np.ptp(out.u) > 0.5     # the grown pattern spans 0.91 in u
+    report = match_pattern(out.u, spectrum, M, (1,))
+    assert report.correlation > 0.99
+
+
+def test_max_time_within_the_first_growth_step(growth):
+    mesh, M, A, _, config = growth
+    stepper = ImexStepper(M, A, config)
+    for steps in (0.4, 2.5):
+        max_time = steps * stepper.growth_tau
+        short = SimulationConfig(**{**config.__dict__, "max_time": max_time})
+        out = simulate(mesh, short, M=M, A=A)
+        # the last step is shortened to end at max_time
+        assert out.status is SimulationStatus.MAX_TIME
+        assert out.elapsed == max_time
+        times = [t for t, _ in out.history]
+        assert times == pytest.approx(
+            [k * stepper.growth_tau for k in range(1, int(steps) + 1)]
+            + [max_time])
+
+
+def _singular_ptc_matrix(original):
+    """ptc_matrix, singular everywhere but at the growth matrix's w*."""
+    def ptc_matrix(self, w, delta):
+        if w is self.w_star:
+            return original(self, w, delta)
+        return sp.csr_matrix((len(w), len(w)))
+    return ptc_matrix
 
 
 @pytest.mark.parametrize("failure", ["solve", "step_cap", "growth"])
 def test_ptc_failure_falls_back_to_imex(growth, monkeypatch, failure):
     mesh, M, A, _, config = growth
     if failure == "solve":
-        monkeypatch.setattr(ImexStepper, "ptc_matrix", _singular_ptc_matrix)
+        monkeypatch.setattr(ImexStepper, "ptc_matrix",
+                            _singular_ptc_matrix(ImexStepper.ptc_matrix))
     elif failure == "step_cap":
         monkeypatch.setattr(simulator, "PTC_MAX_STEPS", 1)
     else:
         monkeypatch.setattr(simulator, "PTC_MAX_GROWTH", 0.0)
     out = simulate(mesh, config, M=M, A=A)
-    u_ref, v_ref, t_ref = _imex_reference(mesh, M, A, config)
-    # PTC was tried once, then the fixed-tau loop went on from the switch
-    # state and stopped by its own rule, where the IMEX reference stops
+    u_ref, v_ref, t_ref = _march_reference(mesh, M, A, config)
+    # PTC was tried once, then the growth march went on from the switch
+    # state and stopped by its own rule, where the march alone stops
     assert out.ptc_steps == 1
     assert out.status is SimulationStatus.CONVERGED
     assert out.elapsed == pytest.approx(t_ref)
     assert np.abs(out.u - u_ref).max() < 1e-12
     assert np.abs(out.v - v_ref).max() < 1e-12
+    # ... at the grown pattern, not the uniform state
+    assert np.ptp(out.u) > 0.5
