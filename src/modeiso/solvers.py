@@ -1,13 +1,15 @@
 """Sparse linear solvers.
 
 `SpdSolver` wraps one fixed matrix for repeated solves: it factors the
-matrix once (SuperLU) and reuses the factors for every right-hand side.
-The eigensolver's shift-invert systems and the simulator's stacked IMEX
-probe system diag(M/tau + A, M/tau + d A), which are SPD, go through it.
-So do the simulator's nonsymmetric growth and pseudo-transient
-continuation matrices: the LU factorization and the residual check need
-no symmetry, and the name stays for its SPD callers.  Every solve checks
-the achieved residual, so callers never receive a silently bad solve.
+matrix once (SuperLU) and reuses the factors for every right-hand side,
+a vector or an (n, k) block of columns solved in one call.  The
+eigensolver's shift-invert systems (one block per Lanczos step) and the
+simulator's stacked IMEX probe system diag(M/tau + A, M/tau + d A),
+which are SPD, go through it.  So do the simulator's nonsymmetric growth
+and pseudo-transient continuation matrices: the LU factorization and the
+residual check need no symmetry, and the name stays for its SPD callers.
+Every column's residual is checked, so callers never receive a silently
+bad solve.
 """
 
 from __future__ import annotations
@@ -37,13 +39,18 @@ class SpdSolver:
             raise LinearSolveError(f"factorization failed: {exc}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        x = self._factor.solve(b)
-        res = np.linalg.norm(b - self.A @ x) / bnorm
-        if not np.isfinite(res) or res > self.rtol:
+        """x with A x = b, for a vector b or each column of an (n, k) b.
+
+        A zero column of b gives a zero column of x; every other column
+        must reach a relative residual of `rtol`.
+        """
+        bnorm = np.linalg.norm(b, axis=0)
+        x = np.where(bnorm > 0.0, self._factor.solve(b), 0.0)
+        res = (np.linalg.norm(b - self.A @ x, axis=0)
+               / np.where(bnorm > 0.0, bnorm, 1.0))
+        worst = np.max(res, initial=0.0)
+        if not np.isfinite(worst) or worst > self.rtol:
             raise LinearSolveError(
-                f"direct solve residual {res:.3e} exceeds {self.rtol:.3e}"
+                f"direct solve residual {worst:.3e} exceeds {self.rtol:.3e}"
                 " (matrix singular or ill conditioned)")
         return x

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,21 @@ def test_icosphere3_leading_eigenvalues():
     spec = smallest_eigenpairs(A, M, count=9, tol=1e-9, seed=0)
     assert spec.eigenvalues[1:4].mean() == pytest.approx(2.0, rel=0.01)
     assert spec.eigenvalues[4:9].mean() == pytest.approx(6.0, rel=0.02)
+
+
+def test_multiplicity_wider_than_block():
+    # eight disconnected copies of one disk: every eigenvalue has
+    # multiplicity 8, so a block of 6 random vectors misses copies that
+    # only confirmation sweeps can find
+    mesh = mi.generate_disk(1.0, 2)
+    M1, A1 = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    M = sp.block_diag([M1] * 8, format="csr")
+    A = sp.block_diag([A1] * 8, format="csr")
+    spec = smallest_eigenpairs(A, M, count=24, tol=1e-9, seed=0)
+    dense = dense_generalized_eig(A, M).eigenvalues[:24]
+    assert np.abs(spec.eigenvalues - dense).max() <= 1e-9 * dense.max()
+    X = spec.vectors
+    assert np.abs(X.T @ (M @ X) - np.eye(24)).max() < 1e-8
 
 
 def test_count_validation(square_matrices):
@@ -129,6 +145,10 @@ def _dense_problem(name):
 @example(name="ball1", count=32, seed=0)
 @example(name="disk2", count=10, seed=0)
 @example(name="disk2", count=11, seed=0)
+# the Krylov space is exhausted: disk2 has n = 61
+@example(name="disk2", count=50, seed=0)
+@example(name="disk2", count=59, seed=0)
+@example(name="disk2", count=60, seed=0)
 def test_any_count_matches_dense_oracle(name, count, seed):
     M, A, dense = _dense_problem(name)
     tol = 1e-9
