@@ -16,9 +16,8 @@ from .fem import (assemble_mass, assemble_stiffness, interpolate, m_inner,
 from .isolation import (IsolationError, IsolationResult, IsolationStatus,
                         isolate_mode, pair_isolation, verify_isolation)
 from .kinetics import (Jacobian2x2, KineticsError, KineticsModel, SteadyState,
-                       TuringReport, critical_diffusion_ratio, dispersion,
-                       gierer_meinhardt, make_model, schnakenberg, thomas,
-                       turing_check, wavenumber_window)
+                       critical_diffusion_ratio, dispersion, gierer_meinhardt,
+                       make_model, schnakenberg, thomas, wavenumber_window)
 from .mesh import (DEFORMATION_PRESETS, Mesh, MeshError, MeshKind,
                    dumbbell_map, ellipse_map, fish_map, generate_ball,
                    generate_disk, generate_icosphere, generate_interval,
@@ -26,8 +25,8 @@ from .mesh import (DEFORMATION_PRESETS, Mesh, MeshError, MeshKind,
 from .meshio import MeshIOError, read_off, read_vtk, write_vtk
 from .pattern_metrics import MatchReport, match_pattern
 from .reference_spectra import (AnalyticEigenvalue, bessel_derivative_roots,
-                                real_spherical_harmonic, rectangle_neumann,
-                                sphere_bulk_spectrum, sphere_surface_spectrum)
+                                rectangle_neumann, sphere_bulk_spectrum,
+                                sphere_surface_spectrum)
 from .simulator import (SimulationConfig, SimulationOutcome, SimulationStatus,
                         initial_condition, simulate)
 from .solvers import LinearSolveError, SpdSolver

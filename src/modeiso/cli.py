@@ -78,10 +78,13 @@ class Run:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        M, A = self.M, self.A
-        eig = self.config.eigensolver
-        return smallest_eigenpairs(A, M, count=eig["count"], tol=eig["tol"],
-                                   seed=eig["seed"])
+        eig, n = self.config.eigensolver, self.mesh.n_vertices
+        if eig["count"] >= n:
+            raise ConfigError(f"eigensolver.count: expected at most {n - 1} "
+                              f"for a mesh of {n} vertices, "
+                              f"got {eig['count']}")
+        return smallest_eigenpairs(self.A, self.M, count=eig["count"],
+                                   tol=eig["tol"], seed=eig["seed"])
 
     @cached_property
     def model(self):
@@ -105,10 +108,10 @@ class Run:
     def isolation(self) -> IsolationResult:
         """The search's result, or the explicit pair and what it excites."""
         if self.explicit_pair is not None:
-            return pair_isolation(self.spectrum, self.J, *self.explicit_pair)
-        iso = self.config.isolation
-        return isolate_mode(self.spectrum, iso["target_index"], self.J,
-                            eps0=iso["eps0"], delta=iso["delta"])
+            return pair_isolation(self.spectrum.eigenvalues, self.J,
+                                  *self.explicit_pair)
+        return isolate_mode(self.spectrum.eigenvalues,
+                            self.config.isolation["target_index"], self.J)
 
     @property
     def pair(self) -> tuple[float, float]:

@@ -7,9 +7,10 @@ silently.  Kinetics parameters default to the built-in model defaults.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import yaml
@@ -26,13 +27,12 @@ class ConfigError(ValueError):
 
 
 _GENERATORS = {
-    "interval": (meshmod.generate_interval, ("length", "n_cells")),
-    "rectangle": (meshmod.generate_rectangle, ("lx", "ly", "nx", "ny")),
-    "disk": (meshmod.generate_disk, ("radius", "refinement")),
-    "icosphere": (meshmod.generate_icosphere, ("refinement",)),
-    "ball": (meshmod.generate_ball, ("refinement",)),
-    "tube": (meshmod.generate_tube,
-             ("length", "radius", "closed_ends", "refinement")),
+    "interval": meshmod.generate_interval,
+    "rectangle": meshmod.generate_rectangle,
+    "disk": meshmod.generate_disk,
+    "icosphere": meshmod.generate_icosphere,
+    "ball": meshmod.generate_ball,
+    "tube": meshmod.generate_tube,
 }
 
 
@@ -49,6 +49,24 @@ def _check_keys(node: dict, allowed: set[str], path: str) -> None:
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; "
                           f"allowed: {sorted(allowed)}")
+
+
+def _is_number(value: Any) -> bool:
+    """A finite int or float.  YAML `true` loads as a bool, which Python
+    counts as an int, and `.inf` and `.nan` as floats: none is a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_params(params: dict, types: dict[str, type], path: str) -> None:
+    """Each value has the type of its parameter, where an int is also a
+    float and a number is finite."""
+    for key, value in params.items():
+        kind = types[key]
+        if not (isinstance(value, bool) if kind is bool else _is_number(value)
+                and (kind is float or isinstance(value, kind))):
+            raise ConfigError(f"{path}.{key}: expected {kind.__name__}, "
+                              f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +89,15 @@ class MeshSpec:
         if gen is not None and gen not in _GENERATORS:
             raise ConfigError(f"mesh.generator: unknown generator {gen!r}; "
                               f"choose from {sorted(_GENERATORS)}")
+        if off is not None and "params" in node:
+            raise ConfigError("mesh.params: a mesh read from 'off_path' "
+                              "takes no parameters")
         params = _require_mapping(node.get("params"), "mesh.params")
         if gen is not None:
-            _check_keys(params, set(_GENERATORS[gen][1]), "mesh.params")
+            types = {name: p.annotation for name, p in inspect.signature(
+                _GENERATORS[gen], eval_str=True).parameters.items()}
+            _check_keys(params, set(types), "mesh.params")
+            _check_params(params, types, "mesh.params")
         deformation = node.get("deformation")
         if deformation is not None and deformation not in DEFORMATION_PRESETS:
             raise ConfigError(
@@ -90,9 +114,8 @@ class MeshSpec:
             except (OSError, MeshIOError, meshmod.MeshError) as exc:
                 raise ConfigError(f"mesh.off_path: {exc}")
         else:
-            builder, _ = _GENERATORS[self.generator]
             try:
-                mesh = builder(**self.params)
+                mesh = _GENERATORS[self.generator](**self.params)
             except (TypeError, meshmod.MeshError) as exc:
                 raise ConfigError(f"mesh.params: {exc}")
         if self.deformation is not None:
@@ -113,9 +136,11 @@ class KineticsSpec:
     def parse(cls, node: Any) -> "KineticsSpec":
         node = _require_mapping(node, "kinetics")
         _check_keys(node, {"model", "params"}, "kinetics")
+        params = _require_mapping(node.get("params"), "kinetics.params")
+        # every kinetics parameter is a rate or a constant: a real number
+        _check_params(params, dict.fromkeys(params, float), "kinetics.params")
         return cls(model=node.get("model", "schnakenberg"),
-                   params=dict(_require_mapping(node.get("params"),
-                                                "kinetics.params")))
+                   params=dict(params))
 
     def build(self) -> KineticsModel:
         try:
@@ -131,8 +156,8 @@ def _parse_scalar_section(node: Any, path: str, defaults: dict,
     _check_keys(node, set(defaults), path)
     out = dict(defaults)
     out.update(node)
-    # YAML `true` loads as a bool, which Python counts as an int, and `.inf`
-    # as a float: neither is a valid count, index or seed
+    # a YAML `true` is a bool, which Python counts as an int: it is no
+    # valid count, index or seed
     for key in ints:
         if out[key] is not None and (isinstance(out[key], bool)
                                      or not isinstance(out[key], int)
@@ -140,8 +165,7 @@ def _parse_scalar_section(node: Any, path: str, defaults: dict,
             raise ConfigError(f"{path}.{key}: expected a non-negative integer")
     for key in positives:
         value = out[key]
-        if value is not None and (isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and 0 < value < math.inf)):
+        if value is not None and not (_is_number(value) and value > 0):
             raise ConfigError(f"{path}.{key}: expected a finite positive "
                               f"number, got {value!r}")
     return out
@@ -168,9 +192,8 @@ class RunConfig:
             positives={"count", "tol"}, ints={"count", "seed"})
         iso = _parse_scalar_section(
             data.get("isolation"), "isolation",
-            {"target_index": None, "eps0": None, "delta": 1e-3,
-             "d": None, "gamma": None},
-            positives={"eps0", "delta", "d", "gamma"},
+            {"target_index": None, "d": None, "gamma": None},
+            positives={"d", "gamma"},
             ints={"target_index"})
         given = [iso[k] is not None for k in ("target_index", "d", "gamma")]
         if given not in ([True, False, False], [False, True, True]):
@@ -198,19 +221,10 @@ class RunConfig:
                    match=match, output_dir=output_dir)
 
     def digest(self) -> str:
-        """Stable hash of the configuration for output provenance."""
-        payload = {
-            "mesh": {"generator": self.mesh.generator,
-                     "params": self.mesh.params,
-                     "off_path": self.mesh.off_path,
-                     "deformation": self.mesh.deformation},
-            "kinetics": {"model": self.kinetics.model,
-                         "params": self.kinetics.params},
-            "eigensolver": self.eigensolver,
-            "isolation": self.isolation,
-            "simulation": self.simulation,
-            "match": self.match,
-        }
+        """Stable hash of the configuration, without the output
+        directory, for output provenance."""
+        payload = asdict(self)
+        del payload["output_dir"]
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 

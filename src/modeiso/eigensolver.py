@@ -55,6 +55,7 @@ BLOCK = 6
 # a block row whose CholQR pivot is below RANK_TOL of its norm is rank
 # deficient; the Gram matrix resolves pivots only down to about sqrt(eps)
 RANK_TOL = 1e-7
+MAX_RESTARTS = 300    # thick restarts before the solve gives up
 
 
 class EigensolverError(RuntimeError):
@@ -144,8 +145,7 @@ def default_shift(A: sp.spmatrix, M: sp.spmatrix) -> float:
 
 
 def smallest_eigenpairs(A: sp.spmatrix, M: sp.spmatrix, count: int,
-                        tol: float = 1e-9, seed: int = 0,
-                        max_restarts: int = 300) -> Spectrum:
+                        tol: float = 1e-9, seed: int = 0) -> Spectrum:
     """The `count` smallest eigenpairs of A x = lambda M x.
 
     Deterministic for a fixed seed.  Eigenvectors are M-orthonormal with
@@ -167,7 +167,7 @@ def smallest_eigenpairs(A: sp.spmatrix, M: sp.spmatrix, count: int,
     j = 0
     stalled = best = n_locked = 0
     reference: np.ndarray | None = None
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         while len(Q) and j + len(Q) <= m:
             i, j = j, j + len(Q)
             V[i:j], W[i:j] = Q, MQ

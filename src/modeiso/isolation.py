@@ -7,9 +7,13 @@ largest eigenvalue below the target t outside its cluster (0 if none)
 and a the smallest above it (infinity if none), the gammas that excite
 t and neither neighbour form the interval
 (max(t/R, b/L), min(t/L, a/R)), which is non-empty iff R/L < a/b.
-A smaller eps narrows R/L, so eps walks down a ladder from about d_c/5
-in steps of d_c/EPS_SHRINK_DIVISOR to the floor d_c/EPS_FLOOR_DIVISOR,
-stopping at the first rung whose interval isolates the target.
+A smaller eps narrows R/L, so eps walks down a ladder from
+d_c/EPS_START_DIVISOR in steps of d_c/EPS_SHRINK_DIVISOR to the floor
+d_c/EPS_FLOOR_DIVISOR, stopping at the first rung whose interval
+isolates the target.
+
+Every function takes the eigenvalues as a plain sorted array, such as
+`Spectrum.eigenvalues`.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ import numpy as np
 
 from .kinetics import (Jacobian2x2, critical_diffusion_ratio,
                        dimensionless_window, wavenumber_window)
-from .reference_spectra import eigenvalue_array
 
+EPS_START_DIVISOR = 5.0      # the ladder starts at eps = d_c / 5
 EPS_SHRINK_DIVISOR = 100.0   # eps decreases by d_c / 100 per rung
 EPS_FLOOR_DIVISOR = 1000.0   # never below d_c / 1000
+# eigenvalues within this relative gap of the target form its cluster
+CLUSTER_RTOL = 1e-3
 
 
 class IsolationStatus(enum.Enum):
@@ -62,13 +68,13 @@ def _inside(values: np.ndarray, window: tuple[float, float]) -> list[int]:
     return [int(i) for i in np.nonzero((values > lo) & (values < hi))[0]]
 
 
-def verify_isolation(spectrum, J: Jacobian2x2, d: float,
+def verify_isolation(values: np.ndarray, J: Jacobian2x2, d: float,
                      gamma: float) -> list[int]:
-    """Indices of spectrum values strictly inside the window for (d, gamma).
+    """Indices of eigenvalues strictly inside the window for (d, gamma).
 
     Pure audit; `pair_isolation` uses it for a user-supplied pair.
     """
-    return _inside(eigenvalue_array(spectrum), wavenumber_window(J, d, gamma))
+    return _inside(values, wavenumber_window(J, d, gamma))
 
 
 def _status(excited) -> IsolationStatus:
@@ -78,26 +84,24 @@ def _status(excited) -> IsolationStatus:
             else IsolationStatus.FAILED)
 
 
-def pair_isolation(spectrum, J: Jacobian2x2, d: float,
+def pair_isolation(values: np.ndarray, J: Jacobian2x2, d: float,
                    gamma: float) -> IsolationResult:
     """The isolation result of a given (d, gamma): what its window excites."""
-    excited = verify_isolation(spectrum, J, d, gamma)
+    excited = verify_isolation(values, J, d, gamma)
     return IsolationResult(_status(excited), d, gamma,
                            wavenumber_window(J, d, gamma), tuple(excited),
                            critical_diffusion_ratio(J))
 
 
-def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
-                 eps0: float | None = None, delta: float = 1e-3
-                 ) -> IsolationResult:
+def isolate_mode(values: np.ndarray, target_index: int,
+                 J: Jacobian2x2) -> IsolationResult:
     """Find (d, gamma) isolating the target eigenvalue in the window.
 
     Returns UNIQUE when only the target is excited, and CLUSTERED when
     the target is excited together with eigenvalues within relative gap
-    `delta` of it, or, if no rung of the eps ladder isolates it, with
-    whatever the k-centred window at the eps floor excites.
+    CLUSTER_RTOL of it, or, if no rung of the eps ladder isolates it,
+    with whatever the k-centred window at the eps floor excites.
     """
-    values = eigenvalue_array(spectrum)
     if not 0 <= target_index < len(values):
         raise IsolationError(f"target index {target_index} out of range "
                              f"for spectrum of size {len(values)}")
@@ -109,15 +113,11 @@ def isolate_mode(spectrum, target_index: int, J: Jacobian2x2,
                              "state is unstable without diffusion")
 
     d_c = critical_diffusion_ratio(J)
-    eps = d_c / 5.0 if eps0 is None else eps0
-    if eps <= 0:
-        raise IsolationError("eps0 must be positive")
+    eps = d_c / EPS_START_DIVISOR
     eps_floor = d_c / EPS_FLOOR_DIVISOR
-    eps = max(eps, eps_floor)
 
-    # eigenvalues within relative gap delta of the target form its
-    # cluster; b and a are the nearest eigenvalues outside it
-    in_cluster = np.abs(values - target) <= delta * max(abs(target), 1e-30)
+    # b and a are the nearest eigenvalues outside the target's cluster
+    in_cluster = np.abs(values - target) <= CLUSTER_RTOL * target
     b = values[~in_cluster & (values < target)].max(initial=0.0)
     a = values[~in_cluster & (values > target)].min(initial=math.inf)
 

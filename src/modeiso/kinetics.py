@@ -1,4 +1,4 @@
-"""Reaction kinetics, steady states, Turing conditions and the
+"""Reaction kinetics, steady states, the dispersion relation and the
 admissible wavenumber window.
 
 Three classical models are built in: Schnakenberg (activator-depleted),
@@ -46,25 +46,6 @@ class Jacobian2x2:
     @property
     def det(self) -> float:
         return self.f_u * self.g_v - self.f_v * self.g_u
-
-
-@dataclass(frozen=True)
-class TuringReport:
-    stable_trace: bool        # f_u + g_v < 0
-    stable_det: bool          # f_u g_v - f_v g_u > 0
-    diffusive_trace: bool     # d f_u + g_v > 0
-    real_roots: bool          # (d f_u + g_v)^2 - 4 d det > 0
-    d_c: float
-    window: tuple[float, float] | None
-
-    @property
-    def turing_capable(self) -> bool:
-        return self.stable_trace and self.stable_det
-
-    @property
-    def unstable(self) -> bool:
-        return (self.stable_trace and self.stable_det
-                and self.diffusive_trace and self.real_roots)
 
 
 @dataclass(frozen=True)
@@ -310,21 +291,3 @@ def wavenumber_window(J: Jacobian2x2, d: float,
     L, R = dimensionless_window(J, d)
     return gamma * L, gamma * R
 
-
-def turing_check(J: Jacobian2x2, d: float) -> TuringReport:
-    if d <= 0:
-        raise ValueError("d must be positive")
-    trace_d = d * J.f_u + J.g_v
-    disc = trace_d ** 2 - 4.0 * d * J.det
-    cond3 = trace_d > 0
-    cond4 = disc > 0
-    window = None
-    if cond3 and cond4:
-        # gamma = 1 window; scales linearly with gamma
-        window = dimensionless_window(J, d)
-    return TuringReport(stable_trace=J.trace < 0,
-                        stable_det=J.det > 0,
-                        diffusive_trace=cond3,
-                        real_roots=cond4,
-                        d_c=critical_diffusion_ratio(J),
-                        window=window)

@@ -1,6 +1,5 @@
-"""Analytic Neumann spectra used as oracles: rectangle, sphere surface,
-sphere bulk (spherical Bessel derivative roots) and real spherical
-harmonics for pattern comparison."""
+"""Analytic Neumann spectra used as oracles: rectangle, sphere surface
+and sphere bulk (spherical Bessel derivative roots)."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv, spherical_jn
+from scipy.special import spherical_jn
 
 
 @dataclass(frozen=True)
@@ -19,14 +18,9 @@ class AnalyticEigenvalue:
     label: tuple
 
 
-def eigenvalue_array(entries) -> np.ndarray:
-    """Plain array of eigenvalues from analytic entries or a Spectrum."""
-    if hasattr(entries, "eigenvalues"):
-        return np.asarray(entries.eigenvalues, dtype=float)
-    out = []
-    for e in entries:
-        out.append(e.value if isinstance(e, AnalyticEigenvalue) else float(e))
-    return np.asarray(out, dtype=float)
+def eigenvalue_array(entries: list[AnalyticEigenvalue]) -> np.ndarray:
+    """Plain array of the eigenvalues of analytic entries."""
+    return np.array([e.value for e in entries], dtype=float)
 
 
 def rectangle_neumann(lx: float, ly: float, count: int
@@ -125,26 +119,3 @@ def sphere_bulk_spectrum(count: int, k_max: float = 20.0,
                          f"{len(entries)} modes; increase k_max")
     return entries[:count]
 
-
-def real_spherical_harmonic(l: int, m: int, point) -> float:
-    """Real-form spherical harmonic Y_l^m at a point on the unit sphere."""
-    if not 0 <= l <= 4:
-        raise ValueError("l must be in 0..4")
-    if abs(m) > l:
-        raise ValueError("|m| must not exceed l")
-    p = np.asarray(point, dtype=float)
-    r = float(np.linalg.norm(p))
-    if abs(r - 1.0) > 1e-9:
-        raise ValueError(f"point must lie on the unit sphere, |p| = {r}")
-    x, y, z = p
-    theta_cos = z / r
-    phi = math.atan2(y, x)
-    am = abs(m)
-    norm = math.sqrt((2 * l + 1) / (4 * math.pi)
-                     * math.factorial(l - am) / math.factorial(l + am))
-    leg = float(lpmv(am, l, theta_cos))
-    if m == 0:
-        return norm * leg
-    # (-1)^m cancels the Condon-Shortley phase of lpmv
-    angular = math.cos(am * phi) if m > 0 else math.sin(am * phi)
-    return (-1.0) ** am * math.sqrt(2.0) * norm * angular * leg

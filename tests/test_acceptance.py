@@ -249,7 +249,7 @@ def test_acceptance_7_end_to_end_isolation():
     mesh = mi.generate_rectangle(1.0, 1.0, 32, 32)
     M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
     spec = smallest_eigenpairs(A, M, count=8, tol=1e-9, seed=0)
-    result = isolate_mode(spec, 1, J)
+    result = isolate_mode(spec.eigenvalues, 1, J)
     ok = result.status is not IsolationStatus.FAILED
     config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
                               tau=1e-3, stop_tol=1e-4, max_time=100.0,
@@ -266,7 +266,7 @@ def test_acceptance_7_end_to_end_isolation():
     sphere = mi.generate_icosphere(2)
     Ms, As = mi.assemble_mass(sphere), mi.assemble_stiffness(sphere)
     spec_s = smallest_eigenpairs(As, Ms, count=12, tol=1e-9, seed=0)
-    result_s = isolate_mode(spec_s, 4, J)
+    result_s = isolate_mode(spec_s.eigenvalues, 4, J)
     ok &= set(result_s.excited_indices) == {4, 5, 6, 7, 8}
     config_s = SimulationConfig(model=model, d=result_s.d,
                                 gamma=result_s.gamma, seed=1)

@@ -92,6 +92,16 @@ def test_mesh_params_error_is_config_error(tmp_path, capsys):
     assert "config error: mesh.params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eigs", "pipeline"])
+def test_count_beyond_the_mesh_is_config_error(tmp_path, capsys, command):
+    # the 8 x 8 rectangle has 81 vertices, so at most 80 pairs
+    path = write_config(tmp_path, eigensolver={"count": 81})
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: eigensolver.count" in err and "81 vertices" in err
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_missing_off_path_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, mesh={"off_path": str(tmp_path / "no.off")})
     assert main(["mesh", "--config", str(path)]) == 2

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -33,8 +35,10 @@ def test_unknown_key_rejected_with_path():
     bad = dict(MINIMAL, match={"cluster_gap": 1e-3})
     with pytest.raises(ConfigError, match="match: unknown keys"):
         RunConfig.parse(bad)
-    # the admissible gamma interval is computed: no start or step budget
-    for key, value in (("gamma0", 10.0), ("max_iters", 500)):
+    # the admissible gamma interval is computed: no start or step budget,
+    # and the eps ladder's start and the cluster gap are constants
+    for key, value in (("gamma0", 10.0), ("max_iters", 500), ("eps0", 0.1),
+                       ("delta", 1e-3)):
         bad = dict(MINIMAL, isolation={"target_index": 1, key: value})
         with pytest.raises(ConfigError, match="isolation: unknown keys"):
             RunConfig.parse(bad)
@@ -65,12 +69,44 @@ def test_negative_tau_rejected():
     ("simulation", "max_time", float("inf")),
     ("eigensolver", "count", True),
     ("eigensolver", "tol", float("inf")),
-    ("isolation", "eps0", float("inf")),
+    ("isolation", "gamma", float("inf")),
 ])
 def test_bool_or_infinite_number_rejected(section, key, value):
     bad = dict(MINIMAL, **{section: {**MINIMAL.get(section, {}), key: value}})
     with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
         RunConfig.parse(bad)
+
+
+# the nested parameter mappings follow the same rule: the generator's
+# signature types each mesh parameter, and a kinetics parameter is a number
+@pytest.mark.parametrize("section, node, path", [
+    ("kinetics", {"params": {"a": True}}, "kinetics.params.a"),
+    ("kinetics", {"params": {"a": float("inf")}}, "kinetics.params.a"),
+    ("kinetics", {"model": "gierer_meinhardt", "params": {"k": float("nan")}},
+     "kinetics.params.k"),
+    ("mesh", {"generator": "rectangle",
+              "params": {"lx": 1.0, "ly": 1.0, "nx": True, "ny": 4}},
+     "mesh.params.nx"),
+    ("mesh", {"generator": "rectangle",
+              "params": {"lx": float("inf"), "ly": 1.0, "nx": 4, "ny": 4}},
+     "mesh.params.lx"),
+    ("mesh", {"generator": "tube",
+              "params": {"length": 4.0, "radius": 0.5, "closed_ends": 1,
+                         "refinement": 2}},
+     "mesh.params.closed_ends"),
+    ("mesh", {"off_path": "x.off", "params": {"refinement": 2}},
+     "mesh.params"),
+])
+def test_nested_params_rejected(section, node, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        RunConfig.parse(dict(MINIMAL, **{section: node}))
+
+
+def test_tube_closed_ends_is_a_bool():
+    mesh = {"generator": "tube", "params": {
+        "length": 4.0, "radius": 0.5, "closed_ends": True, "refinement": 0}}
+    assert RunConfig.parse(dict(MINIMAL, mesh=mesh)).mesh.params[
+        "closed_ends"] is True
 
 
 @pytest.mark.parametrize("section", ["eigensolver", "simulation"])
@@ -103,8 +139,20 @@ def test_digest_stable_and_sensitive():
     a = RunConfig.parse(MINIMAL).digest()
     b = RunConfig.parse(MINIMAL).digest()
     assert a == b and len(a) == 16
-    changed = dict(MINIMAL, simulation={"seed": 9})
-    assert RunConfig.parse(changed).digest() != a
+    # a change in any section moves the digest
+    for section, node in (
+            ("mesh", {"generator": "rectangle", "params": {
+                "lx": 2.0, "ly": 1.0, "nx": 4, "ny": 4}}),
+            ("kinetics", {"params": {"a": 0.8}}),
+            ("eigensolver", {"count": 6}),
+            ("isolation", {"target_index": 2}),
+            ("simulation", {"seed": 9}),
+            ("match", {"threshold": 0.9})):
+        changed = dict(MINIMAL, **{section: node})
+        assert RunConfig.parse(changed).digest() != a, section
+    # where the outputs go is not part of what they are
+    moved = dict(MINIMAL, output_dir="elsewhere")
+    assert RunConfig.parse(moved).digest() == a
 
 
 def test_load_config_yaml(tmp_path):

@@ -9,8 +9,7 @@ import modeiso as mi
 from modeiso.kinetics import (Jacobian2x2, KineticsError,
                               critical_diffusion_ratio, dimensionless_window,
                               dispersion, growth_rate, make_model,
-                              max_growth_rate, turing_check,
-                              wavenumber_window)
+                              max_growth_rate, wavenumber_window)
 
 MODELS = [mi.schnakenberg(), mi.gierer_meinhardt(), mi.thomas()]
 
@@ -102,16 +101,6 @@ def test_dispersion_sign_structure(schnakenberg_jacobian):
     assert dispersion(J, d, gamma, 0.5 * lo) > 0
     assert dispersion(J, d, gamma, 2.0 * hi) > 0
     assert dispersion(J, d, gamma, lo) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_turing_check_reports(schnakenberg_jacobian):
-    J = schnakenberg_jacobian
-    below = turing_check(J, 5.0)
-    assert below.turing_capable and not below.unstable
-    assert below.window is None
-    above = turing_check(J, 10.0)
-    assert above.unstable
-    assert above.window is not None
 
 
 def test_window_requires_d_above_critical(schnakenberg_jacobian):

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-import modeiso as mi
-from modeiso.reference_spectra import (AnalyticEigenvalue,
-                                       bessel_derivative_roots,
+from modeiso.reference_spectra import (bessel_derivative_roots,
                                        eigenvalue_array, rectangle_neumann,
-                                       real_spherical_harmonic,
                                        sphere_bulk_spectrum,
                                        sphere_surface_spectrum)
 
@@ -115,42 +112,3 @@ def test_roots_equal_the_scalar_bisection_bit_for_bit():
 def test_sphere_bulk_spectrum_range_error():
     with pytest.raises(ValueError, match="k_max"):
         sphere_bulk_spectrum(500, k_max=6.0)
-
-
-def test_real_harmonic_known_value():
-    # Y_1^1 at (1, 0, 0) is sqrt(3 / 4pi)
-    val = real_spherical_harmonic(1, 1, (1.0, 0.0, 0.0))
-    assert val == pytest.approx(math.sqrt(3.0 / (4.0 * math.pi)), rel=1e-12)
-    # Y_0^0 is constant 1/sqrt(4pi)
-    assert real_spherical_harmonic(0, 0, (0.0, 0.0, 1.0)) == pytest.approx(
-        math.sqrt(1.0 / (4.0 * math.pi)))
-
-
-def test_real_harmonics_m_orthonormal_on_fine_sphere():
-    mesh = mi.generate_icosphere(3)
-    M = mi.assemble_mass(mesh)
-    fields = {}
-    for ll in range(3):
-        for m in range(-ll, ll + 1):
-            fields[(ll, m)] = np.array(
-                [real_spherical_harmonic(ll, m, p) for p in mesh.vertices])
-    keys = list(fields)
-    for i, ki in enumerate(keys):
-        norm2 = fields[ki] @ (M @ fields[ki])
-        # the polyhedral surface under-integrates the sphere by a couple
-        # of percent at this refinement (worst for l = 2)
-        assert norm2 == pytest.approx(1.0, abs=0.03)
-        for kj in keys[i + 1:]:
-            assert abs(fields[ki] @ (M @ fields[kj])) < 1e-2
-
-
-def test_real_harmonic_validates_point():
-    with pytest.raises(ValueError, match="unit sphere"):
-        real_spherical_harmonic(1, 0, (2.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        real_spherical_harmonic(2, 3, (0.0, 0.0, 1.0))
-
-
-def test_eigenvalue_array_accepts_mixed_inputs():
-    arr = eigenvalue_array([AnalyticEigenvalue(1.5, 1, (0,)), 2.5])
-    assert np.allclose(arr, [1.5, 2.5])

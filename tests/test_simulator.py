@@ -215,7 +215,8 @@ def growth():
     model = mi.schnakenberg()
     state = model.steady_state()
     spectrum = smallest_eigenpairs(A, M, count=6, tol=1e-9, seed=0)
-    result = isolate_mode(spectrum, 1, model.jacobian(state.u, state.v))
+    result = isolate_mode(spectrum.eigenvalues, 1,
+                          model.jacobian(state.u, state.v))
     assert result.status is IsolationStatus.UNIQUE
     config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
                               tau=1e-2, seed=1)
