@@ -182,23 +182,14 @@ def cmd_simulate(run: Run) -> int:
     d, gamma = run.pair
     sim_config = SimulationConfig(model=run.model, d=d, gamma=gamma,
                                   **run.config.simulation)
-    snapshots: list[int] = []
-
-    def callback(step: int, t: float, u: np.ndarray, v: np.ndarray) -> None:
-        write_vtk(run.mesh, {"u": u, "v": v},
-                  run.path(f"run_{len(snapshots):04d}.vtk"), comment=run.meta)
-        snapshots.append(step)
-
-    outcome = simulate(run.mesh, sim_config, M=run.M, A=run.A,
-                       snapshot_callback=callback)
+    outcome = simulate(run.mesh, sim_config, M=run.M, A=run.A)
     run.write_csv("derivative_history.csv", "t,derivative_norm",
                   (f"{_fmt(t)},{_fmt(norm)}" for t, norm in outcome.history))
     write_vtk(run.mesh, {"u": outcome.u, "v": outcome.v},
               run.path("final_state.vtk"), comment=run.meta)
     run.write_json("outcome.json",
                    {"status": outcome.status.value, "elapsed": outcome.elapsed,
-                    "d": d, "gamma": gamma, "snapshots": len(snapshots),
-                    "ptc_steps": outcome.ptc_steps,
+                    "d": d, "gamma": gamma, "ptc_steps": outcome.ptc_steps,
                     "residual_norm": outcome.residual_norm})
     run.final_u = outcome.u
     print(f"simulate: status={outcome.status.value} t={outcome.elapsed:.4g}")
@@ -268,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
                               f"created: {exc.strerror}")
         return _COMMANDS[args.command](Run(config, out))
     except ConfigError as exc:
-        # also raised while a stage builds its mesh or kinetics model
+        # also raised while a stage builds its mesh
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EigensolverError, IsolationError, KineticsError,

@@ -139,8 +139,10 @@ class KineticsSpec:
         params = _require_mapping(node.get("params"), "kinetics.params")
         # every kinetics parameter is a rate or a constant: a real number
         _check_params(params, dict.fromkeys(params, float), "kinetics.params")
-        return cls(model=node.get("model", "schnakenberg"),
+        spec = cls(model=node.get("model", "schnakenberg"),
                    params=dict(params))
+        spec.build()    # a bad model name or parameter fails on reading
+        return spec
 
     def build(self) -> KineticsModel:
         try:
@@ -202,10 +204,9 @@ class RunConfig:
         sim = _parse_scalar_section(
             data.get("simulation"), "simulation",
             {"tau": 1e-3, "stop_tol": 1e-4, "max_time": 100.0, "seed": 1,
-             "amplitude": 0.01, "snapshot_stride": 100},
-            positives={"tau", "stop_tol", "max_time", "amplitude",
-                       "snapshot_stride"},
-            ints={"seed", "snapshot_stride"})
+             "amplitude": 0.01},
+            positives={"tau", "stop_tol", "max_time", "amplitude"},
+            ints={"seed"})
         if sim["tau"] > MAX_STABLE_TAU:
             raise ConfigError(f"simulation.tau: expected at most "
                               f"{MAX_STABLE_TAU}, got {sim['tau']!r}")

@@ -67,15 +67,12 @@ SOLVER_RTOL = 1e-10        # ||b - K x|| <= SOLVER_RTOL ||b|| on every solve
 # The switch arms once the derivative norm has risen SWITCH_RISE times
 # above its running minimum (the noise has decayed and a mode grows) and
 # fires once it has fallen SWITCH_FALL times below its later peak (the
-# pattern has formed).  A fall factor of 2 switched the tau = 0.01 square
-# (seed 1) at t = 1.29 and moved its match correlation from 0.999567 to
-# 0.999697; 10 keeps every grow config's correlation within 5.5e-8 of the
-# pure-IMEX run's (seeds 1-5).
+# pattern has formed).  A fall factor of 2 switched before the pattern had
+# formed and moved the match correlation in its fourth digit.
 SWITCH_RISE = 10.0
 SWITCH_FALL = 10.0
 # Starting pseudo-time step: 1 takes 2-5 PTC steps per grow config after
-# the growth march (seeds 1-20, one run 14); after the former IMEX growth,
-# tau (0.01) took 66-178.
+# the growth march (seeds 1-20, one run 14).
 PTC_DELTA0 = 1.0
 # The l = 2 sphere and the dumbbell pair, whose near-neutral rotations
 # slow PTC most, took 18-62 and 16-102 steps (seeds 1-10).
@@ -101,7 +98,6 @@ class SimulationConfig:
     max_time: float = 100.0
     seed: int = 0
     amplitude: float = 0.01
-    snapshot_stride: int = 100
 
     def __post_init__(self) -> None:
         if self.tau <= 0 or self.tau > MAX_STABLE_TAU:
@@ -111,8 +107,6 @@ class SimulationConfig:
                              "positive")
         if self.amplitude < 0:
             raise ValueError("amplitude must be non-negative")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -245,16 +239,15 @@ def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
 
 def simulate(mesh: Mesh, config: SimulationConfig,
              M: sp.spmatrix | None = None, A: sp.spmatrix | None = None,
-             initial: tuple[np.ndarray, np.ndarray] | None = None,
-             snapshot_callback=None) -> SimulationOutcome:
+             initial: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> SimulationOutcome:
     """Run to the inhomogeneous steady state or to max_time.
 
     Stops when m_norm(M, du/dt) + m_norm(M, dv/dt) < stop_tol for the
     IMEX step from a growth state (once the stop counts, see the module
     docstring) or from a PTC state.  The last growth step is shortened to
     end at max_time.  The derivative history holds one entry per growth
-    step, plus the final PTC check; snapshot_callback(step, t, u, v), when
-    given, is invoked every snapshot_stride growth steps and on the last.
+    step, plus the final PTC check.
     """
     from .fem import assemble_mass, assemble_stiffness
 
@@ -296,9 +289,6 @@ def simulate(mesh: Mesh, config: SimulationConfig,
         if size > DIVERGENCE_NORM:
             status = SimulationStatus.DIVERGED
             break
-        if snapshot_callback is not None and (
-                step % config.snapshot_stride == 0 or step == n_steps):
-            snapshot_callback(step, t, w[:n], w[n:])
         if deriv < config.stop_tol and (stepper.sigma_max <= 0
                                         or ptc_steps > 0):
             status = SimulationStatus.CONVERGED

@@ -138,6 +138,18 @@ def test_kinetics_params_error_is_config_error(tmp_path, capsys):
     assert "config error: kinetics" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kinetics", [{"model": "schnakenbrg"},
+                                      {"params": {"q": 1.0}},
+                                      {"params": {"a": -1.0}}])
+@pytest.mark.parametrize("command", ["mesh", "eigs"])
+def test_kinetics_checked_on_reading(tmp_path, capsys, command, kinetics):
+    # stages that never build the model reject a bad one too
+    path = write_config(tmp_path, kinetics=kinetics)
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error: kinetics" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, eigensolver={"count": 6, "seed": -1})
     assert main(["isolate", "--config", str(path)]) == 2
@@ -247,9 +259,7 @@ def test_target_and_pair_together_is_a_config_error(tmp_path):
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
-    # a growth march of ~30 steps: snapshot more often than every 100
-    simulation = {"snapshot_stride": 10}
-    path = write_config(tmp_path, simulation=simulation)
+    path = write_config(tmp_path)
     code = main(["pipeline", "--config", str(path)])
     out_dir = tmp_path / "out"
     assert code == 0, capsys.readouterr()
@@ -260,7 +270,9 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert history[1] == "t,derivative_norm"
     assert len(history) > 3
     assert (out_dir / "final_state.vtk").exists()
-    assert any(name.startswith("run_") for name in os.listdir(out_dir))
+    assert sorted(os.listdir(out_dir)) == [
+        "derivative_history.csv", "final_state.vtk", "isolation.json",
+        "match.json", "outcome.json"]
     outcome = json.loads((out_dir / "outcome.json").read_text())
     assert outcome["status"] == "converged"
     assert outcome["ptc_steps"] > 0   # the growth was finished by PTC
@@ -268,9 +280,22 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     # match subcommand reuses the saved state
     assert main(["match", "--config", str(path)]) == 0
     # ... and enforces the threshold like the pipeline does
-    strict = write_config(tmp_path, simulation=simulation,
+    strict = write_config(tmp_path,
                           match={"threshold": match["correlation"] + 0.01})
     assert main(["match", "--config", str(strict)]) == 3
+
+
+def test_simulate_with_an_explicit_pair_computes_no_spectrum(tmp_path,
+                                                             monkeypatch):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the spectrum was computed")
+    monkeypatch.setattr("modeiso.cli.smallest_eigenpairs", no_spectrum)
+    # the pair isolate reports for target 1 on this square
+    path = write_config(tmp_path, isolation={"d": 10.2812,
+                                             "gamma": 30.1386})
+    assert main(["simulate", "--config", str(path)]) == 0
+    outcome = json.loads((tmp_path / "out" / "outcome.json").read_text())
+    assert outcome["status"] == "converged"
 
 
 def test_seed_override_changes_outputs(tmp_path):

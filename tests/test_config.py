@@ -28,9 +28,11 @@ def test_mesh_build_from_generator():
 
 
 def test_unknown_key_rejected_with_path():
-    bad = dict(MINIMAL, simulation={"tua": 1e-3})
-    with pytest.raises(ConfigError, match="simulation"):
-        RunConfig.parse(bad)
+    # growth writes no snapshots: no stride knob
+    for key, value in (("tua", 1e-3), ("snapshot_stride", 100)):
+        bad = dict(MINIMAL, simulation={key: value})
+        with pytest.raises(ConfigError, match="simulation: unknown keys"):
+            RunConfig.parse(bad)
     # the match is scored against the isolation's excited set: no gap knob
     bad = dict(MINIMAL, match={"cluster_gap": 1e-3})
     with pytest.raises(ConfigError, match="match: unknown keys"):

@@ -144,23 +144,12 @@ def test_history_holds_every_growth_step(small_mesh):
     # no kinetics: sigma_max = 0, so the growth step is tau
     config = SimulationConfig(model=ZERO_KINETICS, d=1.0, gamma=1.0,
                               tau=1e-3, stop_tol=1e-30, max_time=0.05,
-                              amplitude=0.0, snapshot_stride=10)
+                              amplitude=0.0)
     x = small_mesh.vertices[:, 0]
     out = simulate(small_mesh, config, initial=(1.0 + x, 1.0 - x))
     assert out.status is SimulationStatus.MAX_TIME
     times = [t for t, _ in out.history]
     assert times == pytest.approx(1e-3 * np.arange(1, 51))
-
-
-def test_snapshot_callback_invoked(small_mesh):
-    seen = []
-    config = SimulationConfig(model=ZERO_KINETICS, d=1.0, gamma=1.0,
-                              tau=1e-3, stop_tol=1e-30, max_time=0.03,
-                              amplitude=0.0, snapshot_stride=10)
-    x = small_mesh.vertices[:, 0]
-    simulate(small_mesh, config, initial=(1.0 + x, 1.0 - x),
-             snapshot_callback=lambda step, t, u, v: seen.append(step))
-    assert seen == [10, 20, 30]
 
 
 def test_divergence_detected(small_mesh):
@@ -361,3 +350,23 @@ def test_ptc_failure_falls_back_to_imex(growth, monkeypatch, failure):
     assert np.abs(out.v - v_ref).max() < 1e-12
     # ... at the grown pattern, not the uniform state
     assert np.ptp(out.u) > 0.5
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_small_pattern_converges_without_a_tenfold_rise():
+    # The target mode 10 grows to a small pattern: the derivative norm
+    # falls from the first step, so SwitchRule never arms and no stop
+    # counts.  The run settles on the pattern below stop_tol (last norm
+    # 3.9e-6, correlation 0.99998 with mode 10) and ends at max_time.
+    mesh = mi.generate_rectangle(2.0, 1.0, 48, 24)
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    model = mi.schnakenberg()
+    state = model.steady_state()
+    spectrum = smallest_eigenpairs(A, M, count=12, seed=0)
+    result = isolate_mode(spectrum.eigenvalues, 10,
+                          model.jacobian(state.u, state.v))
+    assert result.status is IsolationStatus.UNIQUE
+    config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
+                              seed=1)
+    out = simulate(mesh, config, M=M, A=A)
+    assert out.status is SimulationStatus.CONVERGED
