@@ -5,8 +5,8 @@ over a `Run`, which builds the mesh, the matrices, the spectrum, the
 kinetics Jacobian and the isolation result on first use, each at most
 once.  `pipeline` runs the isolate, simulate and match stages over one
 `Run`; it writes no mesh.vtk or eigenvalues.csv.  Outputs are
-deterministic for fixed seeds: CSV/JSON byte-identical across reruns,
-VTK identical up to the documented float formatting.
+deterministic for fixed seeds: every artifact, CSV, JSON and VTK, is
+byte-identical across reruns.
 
 Exit codes: 0 success, 1 computation error (or a failed write),
 2 configuration error (or an output directory that cannot be created),

@@ -16,9 +16,9 @@ from typing import Any
 import yaml
 
 from . import mesh as meshmod
-from .kinetics import KineticsError, KineticsModel, make_model
+from .kinetics import (MAX_STABLE_TAU, KineticsError, KineticsModel,
+                       make_model)
 from .mesh import DEFORMATION_PRESETS, Mesh
-from .simulator import MAX_STABLE_TAU
 
 
 class ConfigError(ValueError):
@@ -213,6 +213,11 @@ class RunConfig:
         match = _parse_scalar_section(
             data.get("match"), "match",
             {"threshold": 0.8}, positives={"threshold"})
+        # the correlation, an M-projection of a normalized pattern, is at
+        # most 1: a higher threshold fails every run
+        if match["threshold"] > 1:
+            raise ConfigError(f"match.threshold: expected at most 1, "
+                              f"got {match['threshold']!r}")
         output_dir = data.get("output_dir", "out")
         if not isinstance(output_dir, str):
             raise ConfigError("output_dir: expected a string")

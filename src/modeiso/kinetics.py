@@ -252,6 +252,9 @@ def growth_rate(J: Jacobian2x2, d: float, gamma: float, k2):
     return 0.5 * (T + np.sqrt(np.maximum(disc, 0.0)))
 
 
+MAX_STABLE_TAU = 1e-2      # the IMEX probe's explicit reactions blow up above
+
+
 def max_growth_rate(J: Jacobian2x2, d: float, gamma: float) -> float:
     """The largest sigma(k^2) over k^2 >= 0, in closed form.
 

@@ -50,11 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kinetics import KineticsModel, SteadyState, max_growth_rate
+from .kinetics import (MAX_STABLE_TAU, KineticsModel, SteadyState,
+                       max_growth_rate)
 from .mesh import Mesh
 from .solvers import LinearSolveError, SpdSolver
 
-MAX_STABLE_TAU = 1e-2      # the IMEX probe's explicit reactions blow up above
 # tau_g sigma_max for the growth march.  0.2 and 0.3 converged every grow
 # config (seeds 1-20) and shipped config (seeds 1-10), 0.35 every shipped
 # one; at 0.4 the l = 2 sphere (configs/sphere_l2.yaml) never switched at

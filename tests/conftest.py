@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -43,3 +45,17 @@ def random_spd(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     return Q @ np.diag(rng.uniform(0.5, 10.0, n)) @ Q.T
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter from the checkout's root with its `src` on
+    the path; stdout and stderr captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)

@@ -50,7 +50,8 @@ def _rerun_changes(tmp_path, command, names):
 
 
 def test_eigs_deterministic_bytes(tmp_path):
-    assert _rerun_changes(tmp_path, "eigs", ["eigenvalues.csv"]) == []
+    assert _rerun_changes(tmp_path, "eigs", [
+        "eigenvalues.csv", "eigenvectors.vtk"]) == []
 
 
 def test_pipeline_deterministic_bytes(tmp_path):
@@ -82,6 +83,15 @@ def test_config_error_exit_code_and_no_outputs(tmp_path):
         }))
         assert main([command, "--config", str(bad)]) == 2
         assert not (tmp_path / "never").exists()
+
+
+def test_threshold_above_one_is_config_error(tmp_path, capsys):
+    # no correlation reaches it: rejected on reading, before any stage runs
+    path = write_config(tmp_path, match={"threshold": 80})
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: match.threshold: expected at most 1, got 80\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_mesh_params_error_is_config_error(tmp_path, capsys):
@@ -279,9 +289,11 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert 0.0 <= outcome["residual_norm"] < 1e-4
     # match subcommand reuses the saved state
     assert main(["match", "--config", str(path)]) == 0
-    # ... and enforces the threshold like the pipeline does
-    strict = write_config(tmp_path,
-                          match={"threshold": match["correlation"] + 0.01})
+    # ... and enforces the threshold like the pipeline does; a threshold
+    # is at most 1, so take one between the correlation and 1
+    assert match["correlation"] < 1.0
+    strict = write_config(tmp_path, match={
+        "threshold": (match["correlation"] + 1.0) / 2})
     assert main(["match", "--config", str(strict)]) == 3
 
 

@@ -66,6 +66,17 @@ def test_negative_tau_rejected():
             RunConfig.parse(bad)
 
 
+def test_match_threshold_at_most_one():
+    # the correlation is the M-projection of a normalized pattern, so at
+    # most 1: a higher threshold fails every run, after the whole pipeline
+    bad = dict(MINIMAL, match={"threshold": 80})
+    with pytest.raises(ConfigError, match=r"^match\.threshold: expected at "
+                       r"most 1, got 80$"):
+        RunConfig.parse(bad)
+    ok = dict(MINIMAL, match={"threshold": 1.0})
+    assert RunConfig.parse(ok).match["threshold"] == 1.0
+
+
 # YAML `true` and `.inf` load as the Python bool and float they look like
 @pytest.mark.parametrize("section, key, value", [
     ("simulation", "max_time", float("inf")),
