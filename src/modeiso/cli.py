@@ -42,12 +42,18 @@ EXIT_MATCH = 3
 
 
 class StageError(RuntimeError):
-    """A stage's input is missing: no saved state, or no (d, gamma) or
-    excited set because the isolation failed."""
+    """A stage's input is missing or unusable: no saved state, one grown
+    on another mesh, or no (d, gamma) or excited set because the
+    isolation failed."""
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _in_3d(mesh) -> np.ndarray:
+    """The mesh's vertices padded with zero columns to 3 coordinates."""
+    return np.pad(mesh.vertices, ((0, 0), (0, 3 - mesh.embedding_dim)))
 
 
 class Run:
@@ -125,12 +131,19 @@ class Run:
     @cached_property
     def final_u(self) -> np.ndarray:
         """The grown u: set by the simulate stage, else read back from
-        the final_state.vtk an earlier run wrote."""
+        the final_state.vtk an earlier run wrote on this config's mesh."""
         path = self.path("final_state.vtk")
         if not os.path.exists(path):
             raise StageError(f"no simulation output at {path}; "
                              "run 'simulate' first")
-        _, fields = read_vtk(path)
+        saved, fields = read_vtk(path)
+        # a flat surface reads back planar, so compare vertices in 3D
+        for what, theirs, ours in (
+                ("cells", saved.cells, self.mesh.cells),
+                ("vertices", _in_3d(saved), _in_3d(self.mesh))):
+            if not np.array_equal(theirs, ours):
+                raise StageError(f"{path} was grown on another mesh: its "
+                                 f"{what} differ from this config's mesh")
         if "u" not in fields or not np.isfinite(fields["u"]).all():
             raise StageError(f"{path} has no finite 'u' field")
         return fields["u"]

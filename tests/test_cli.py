@@ -1,11 +1,16 @@
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 import yaml
 
+import modeiso as mi
 from modeiso.cli import main
 from modeiso.meshio import read_vtk, write_vtk
+
+from conftest import ROOT
 
 
 def write_config(tmp_path, **overrides):
@@ -258,6 +263,61 @@ def test_match_after_a_pair_that_excites_nothing_fails(tmp_path, capsys):
     capsys.readouterr()
     assert main(["match", "--config", str(path)]) == 1
     assert "error [match]:" in capsys.readouterr().err
+
+
+def test_match_refuses_a_state_grown_on_another_mesh(tmp_path, capsys):
+    path = write_config(tmp_path)
+    state = str(tmp_path / "out" / "final_state.vtk")
+    _eigenvector_state(tmp_path, path, 2)
+    mesh, _ = read_vtk(state)
+    others = [mi.generate_rectangle(1.0, 1.0, 4, 4),   # other cells
+              mi.Mesh(mesh.vertices * 2.0, mesh.cells)]  # other vertices
+    for other in others:
+        write_vtk(other, {"u": np.ones(other.n_vertices)}, state)
+        capsys.readouterr()
+        assert main(["match", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error [match]:" in err and "another mesh" in err
+
+
+def _write_off(mesh, path):
+    """`mesh` as an OFF file, every coordinate padded to 3 and '%.17g'."""
+    nv, nc = mesh.n_vertices, mesh.n_cells
+    points = np.zeros((nv, 3))
+    points[:, :mesh.embedding_dim] = mesh.vertices
+    path.write_text(f"OFF\n{nv} {nc} 0\n"
+                    + ("%.17g %.17g %.17g\n" * nv) % tuple(points.ravel())
+                    + ("3 %d %d %d\n" * nc) % tuple(mesh.cells.ravel()))
+
+
+def test_match_accepts_a_flat_off_surface_read_back_planar(tmp_path):
+    off = tmp_path / "square.off"
+    _write_off(mi.generate_rectangle(1.0, 1.0, 8, 8), off)
+    path = write_config(tmp_path, mesh={"off_path": str(off)})
+    _eigenvector_state(tmp_path, path, 2)   # u on the planar read-back
+    assert read_vtk(str(tmp_path / "out" / "final_state.vtk"))[0] \
+        .embedding_dim == 2
+    assert main(["match", "--config", str(path)]) == 0
+
+
+def test_pipeline_on_an_off_file_repeats_the_generator_run(tmp_path):
+    off = tmp_path / "icosphere2.off"
+    _write_off(mi.generate_icosphere(2), off)
+    with open(os.path.join(ROOT, "configs", "sphere_l2.yaml")) as fh:
+        config = yaml.safe_load(fh)
+    names = ["isolation.json", "outcome.json", "match.json",
+             "derivative_history.csv", "final_state.vtk"]
+    runs = {}
+    for name, mesh in (("generator", config["mesh"]),
+                       ("off", {"off_path": str(off)})):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(
+            {**config, "mesh": mesh, "output_dir": str(tmp_path / name)}))
+        assert main(["pipeline", "--config", str(path)]) == 0
+        runs[name] = {n: re.sub(rb"config_sha256=[0-9a-f]+", b"",
+                                (tmp_path / name / n).read_bytes())
+                      for n in names}
+    assert runs["off"] == runs["generator"]
 
 
 def test_target_and_pair_together_is_a_config_error(tmp_path):

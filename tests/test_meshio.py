@@ -223,3 +223,59 @@ def test_read_vtk_rejects_non_finite_points(tmp_path, token):
     _rewrite(path, lines)
     with pytest.raises(MeshError, match="non-finite"):
         read_vtk(path)
+
+
+def test_read_off_counts_on_the_header_line(tmp_path):
+    path = tmp_path / "tetra.off"
+    path.write_text(OFF_TETRA_SURFACE)
+    mesh = read_off(path)
+    path.write_text(OFF_TETRA_SURFACE.replace(
+        "OFF\n# a regular-ish tetrahedron surface\n4 4 6\n", "OFF 4 4 6\n"))
+    back = read_off(path)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.cells, mesh.cells)
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("OFF\n3 1 0\n0 0\n0\n1 0 0\n0 1 0\n3 0 1 2\n", 3, "vertex"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 255 0 0\n", 6, "face"),
+    ("OFF\n3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 2, "counts"),
+], ids=["wrapped_vertex", "face_colour", "two_counts"])
+def test_read_off_one_record_per_line(tmp_path, text, line, what):
+    path = tmp_path / "rec.off"
+    path.write_text(text)
+    with pytest.raises(MeshIOError, match=rf"rec\.off:{line}: {what} row"):
+        read_off(path)
+
+
+@pytest.mark.parametrize("prefix, value", [
+    ("CELLS", "CELLS 8 999"),
+    ("CELL_TYPES", "CELL_TYPES 5"),
+    ("POINT_DATA", "POINT_DATA 3"),
+    ("SCALARS", "SCALARS u double 3"),
+], ids=["cells_size", "cell_types_count", "point_data_count",
+        "scalars_components"])
+def test_read_vtk_header_count_must_match_its_block(tmp_path, prefix, value):
+    path, lines = _rectangle_vtk(tmp_path)
+    row = next(i for i, ln in enumerate(lines) if ln.split()[0] == prefix)
+    lines[row] = value
+    _rewrite(path, lines)
+    with pytest.raises(MeshIOError, match=rf"rect\.vtk:{row + 1}: "):
+        read_vtk(path)
+
+
+def test_read_vtk_rejects_a_repeated_field(tmp_path):
+    path, lines = _rectangle_vtk(tmp_path)
+    scalars = lines.index("SCALARS u double 1")
+    _rewrite(path, lines + lines[scalars:])
+    with pytest.raises(MeshIOError,
+                       match=rf"rect\.vtk:{len(lines) + 1}: .*'u'"):
+        read_vtk(path)
+
+
+def test_read_vtk_scalars_component_count_is_optional(tmp_path):
+    path, lines = _rectangle_vtk(tmp_path)
+    lines[lines.index("SCALARS u double 1")] = "SCALARS u double"
+    _rewrite(path, lines)
+    _, fields = read_vtk(path)
+    assert np.array_equal(fields["u"], np.arange(9.0))
