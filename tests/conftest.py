@@ -59,3 +59,31 @@ def run_python(args: list[str]) -> subprocess.CompletedProcess:
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+VTK_HEADERS = ("POINTS", "CELLS", "CELL_TYPES", "POINT_DATA", "SCALARS",
+               "LOOKUP_TABLE")
+
+
+def vtk_headers(path) -> tuple[bytes, dict[str, int]]:
+    """The bytes of a write_vtk file with at most one field, and the byte
+    offset of each header line from POINTS on, by its keyword."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    offsets, at = {}, 0
+    for word in VTK_HEADERS:
+        at = data.find(b"\n" + word.encode() + b" ", at) + 1
+        if at == 0:
+            break
+        offsets[word] = at
+    return data, offsets
+
+
+def replace_line(data: bytes, at: int, text: str) -> bytes:
+    """`data` with the line that starts at byte `at` replaced by `text`."""
+    return data[:at] + text.encode() + data[data.index(b"\n", at):]
+
+
+def block_start(data: bytes, header: int) -> int:
+    """The offset of the block that follows the header line at `header`."""
+    return data.index(b"\n", header) + 1

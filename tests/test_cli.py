@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import modeiso as mi
 from modeiso.cli import main
 from modeiso.meshio import read_vtk, write_vtk
 
-from conftest import ROOT
+from conftest import ROOT, block_start, vtk_headers
 
 
 def write_config(tmp_path, **overrides):
@@ -196,9 +197,9 @@ def test_match_before_simulate_fails(tmp_path):
 def test_match_on_truncated_state_is_an_error(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["mesh", "--config", str(path)]) == 0
-    lines = (tmp_path / "out" / "mesh.vtk").read_text().splitlines()
-    (tmp_path / "out" / "final_state.vtk").write_text(
-        "\n".join(lines[:10]) + "\n")
+    data, at = vtk_headers(tmp_path / "out" / "mesh.vtk")
+    cut = block_start(data, at["POINTS"]) + 5 * 24  # 5 of 81 points
+    (tmp_path / "out" / "final_state.vtk").write_bytes(data[:cut])
     capsys.readouterr()
     assert main(["match", "--config", str(path)]) == 1
     assert "error [match]:" in capsys.readouterr().err
@@ -215,9 +216,10 @@ def test_match_needs_a_finite_u_field(tmp_path, capsys):
     assert "error [match]:" in err and "'u'" in err
     # a non-finite u, as a diverged run leaves, must not pass the threshold
     assert main(["pipeline", "--config", str(path)]) == 0
-    lines = state.read_text().splitlines()
-    lines[lines.index("SCALARS u double 1") + 2] = "nan"
-    state.write_text("\n".join(lines) + "\n")
+    data, at = vtk_headers(state)
+    assert data[at["SCALARS"]:].startswith(b"SCALARS u double 1\n")
+    u = block_start(data, at["LOOKUP_TABLE"])
+    state.write_bytes(data[:u] + struct.pack(">d", np.nan) + data[u + 8:])
     capsys.readouterr()
     assert main(["match", "--config", str(path)]) == 1
     assert "finite 'u'" in capsys.readouterr().err
@@ -227,13 +229,29 @@ def test_match_error_names_the_rejected_state_file(tmp_path, capsys):
     path = write_config(tmp_path)
     state = tmp_path / "out" / "final_state.vtk"
     assert main(["mesh", "--config", str(path)]) == 0
-    lines = (tmp_path / "out" / "mesh.vtk").read_text().splitlines()
-    lines[lines.index("POINTS 81 double") + 3] = "0.5 nan 0"
-    state.write_text("\n".join(lines) + "\n")
+    data, at = vtk_headers(tmp_path / "out" / "mesh.vtk")
+    assert data[at["POINTS"]:].startswith(b"POINTS 81 double\n")
+    point = block_start(data, at["POINTS"]) + 2 * 24  # the third point
+    state.write_bytes(data[:point] + struct.pack(">3d", 0.5, np.nan, 0.0)
+                      + data[point + 24:])
     capsys.readouterr()
     assert main(["match", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "non-finite" in err and str(state) in err
+
+
+def test_match_refuses_a_legacy_ascii_state(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["mesh", "--config", str(path)]) == 0
+    (tmp_path / "out" / "final_state.vtk").write_text(
+        "# vtk DataFile Version 3.0\nmodeiso mesh\nASCII\n"
+        "DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
+        "0 0 0\n1 0 0\n0 1 0\nCELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n5\n")
+    capsys.readouterr()
+    assert main(["match", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error [match]:" in err
+    assert "legacy ASCII VTK is not read; expected BINARY" in err
 
 
 def _eigenvector_state(tmp_path, path, index):

@@ -1,4 +1,7 @@
 import hashlib
+import re
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 import modeiso as mi
 from modeiso.mesh import MeshError
 from modeiso.meshio import MeshIOError, read_off, read_vtk, write_vtk
+
+from conftest import block_start, replace_line, vtk_headers
 
 
 OFF_TETRA_SURFACE = """\
@@ -72,13 +77,17 @@ def test_vtk_round_trip_bit_exact(make, tmp_path):
     rng = np.random.default_rng(3)
     fields = {"u": rng.random(mesh.n_vertices),
               "v": rng.standard_normal(mesh.n_vertices)}
+    fields["u"][:3] = [-0.0, 1e-300, 1e300]
     path = tmp_path / "mesh.vtk"
     write_vtk(mesh, fields, path)
     back, back_fields = read_vtk(path)
     assert np.array_equal(back.cells, mesh.cells)
     assert np.array_equal(back.vertices, mesh.vertices)
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    assert list(back_fields) == list(fields)
     for name in fields:
-        assert np.array_equal(back_fields[name], fields[name])
+        # bit for bit: array_equal alone would take -0.0 for 0.0
+        assert back_fields[name].tobytes() == fields[name].tobytes()
 
 
 def test_vtk_icosphere0_round_trip_connectivity(tmp_path):
@@ -103,10 +112,10 @@ def test_vtk_header_comment(tmp_path):
     mesh = mi.generate_interval(1.0, 2)
     path = tmp_path / "c.vtk"
     write_vtk(mesh, {}, path, comment="run 42")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# vtk DataFile Version 3.0"
-    assert lines[1] == "run 42"
-    assert lines[2] == "ASCII"
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0] == b"# vtk DataFile Version 3.0"
+    assert lines[1] == b"run 42"
+    assert lines[2] == b"BINARY"
 
 
 def test_write_vtk_rejects_bad_field_name_before_writing(tmp_path):
@@ -120,17 +129,18 @@ def test_write_vtk_rejects_bad_field_name_before_writing(tmp_path):
 
 @pytest.mark.parametrize("build, sha", [
     (lambda: mi.generate_interval(1.0, 5),
-     "e5597fb9cbae5f456f7c965a2d48d24349d31d9bdafec9a2ccfa4622315403d6"),
+     "1e0241c56afffd04cec029a591b8eebdac53ac09cd3baaa9b9d4934c9370a4f7"),
     (lambda: mi.generate_rectangle(1.0, 2.0, 3, 2),
-     "71172ecae32cfec1b9ff23b96aa8c5cb55880cc33e655acd29412128f98d5748"),
+     "d1e8572c9d1bda6fa742962e78c39057da8e5576a858a826d7eaa559fbaebe92"),
     (lambda: mi.generate_icosphere(2),
-     "cd509958691a5477a9da3b9c12039ad22670a572f42ca47f1d2e637ea2316c33"),
+     "ca3b21189397378834fb33b25a451727c319688b53b207f1c1a4bfbc05cd7c82"),
     (lambda: mi.generate_ball(0),
-     "c7a14f98f0a0eef7aa307b7c0bb739c03315b505c730f2d6c48f253558ee01e7"),
+     "576fb014936d65c211e01999c776df51edeaac4f1b91a97f4f9f4950b6732953"),
 ], ids=["interval5", "rectangle3x2", "icosphere2", "ball0"])
 def test_vtk_bytes_are_pinned(build, sha, tmp_path):
-    # Pins the written text byte for byte: every value is '%.17g' and every
-    # index '%d', including signed zero, extreme exponents and whole floats.
+    # Pins the written file byte for byte: every value a big-endian double
+    # and every index a big-endian int32, including signed zero, extreme
+    # exponents and whole floats.
     mesh = build()
     rng = np.random.default_rng(11)
     u = rng.standard_normal(mesh.n_vertices)
@@ -140,88 +150,181 @@ def test_vtk_bytes_are_pinned(build, sha, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
+def test_vtk_layout_follows_the_spec(tmp_path):
+    # The legacy VTK 3.0 BINARY layout, built by hand: text headers, each
+    # block one big-endian array followed by a newline.
+    path = tmp_path / "spec.vtk"
+    write_vtk(mi.generate_interval(1.0, 2), {"u": [-0.0, 1e-300, 1e300]},
+              path, comment="spec")
+    expected = (
+        b"# vtk DataFile Version 3.0\nspec\nBINARY\n"
+        b"DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
+        + struct.pack(">3d", 0.0, 0.0, 0.0)
+        + struct.pack(">3d", 0.5, 0.0, 0.0)
+        + struct.pack(">3d", 1.0, 0.0, 0.0)
+        + b"\nCELLS 2 6\n"
+        + struct.pack(">3i", 2, 0, 1) + struct.pack(">3i", 2, 1, 2)
+        + b"\nCELL_TYPES 2\n" + struct.pack(">2i", 3, 3)
+        + b"\nPOINT_DATA 3\nSCALARS u double 1\nLOOKUP_TABLE default\n"
+        + struct.pack(">3d", -0.0, 1e-300, 1e300) + b"\n")
+    assert path.read_bytes() == expected
+
+
+def test_write_vtk_refuses_more_vertices_than_int32_indexes(tmp_path):
+    path = tmp_path / "never.vtk"
+    with pytest.raises(MeshIOError, match="int32"):
+        write_vtk(SimpleNamespace(n_vertices=2**31), {}, path)
+    assert not path.exists()
+
+
 def _rectangle_vtk(tmp_path):
+    """A 2x2 rectangle (9 points, 8 triangles) with field u = 0..8: its
+    path, bytes and header offsets."""
     mesh = mi.generate_rectangle(1.0, 1.0, 2, 2)
     path = tmp_path / "rect.vtk"
     write_vtk(mesh, {"u": np.arange(mesh.n_vertices, dtype=float)}, path)
-    return path, path.read_text().splitlines()
+    return (path, *vtk_headers(path))
 
 
-def _rewrite(path, lines):
-    path.write_text("\n".join(lines) + "\n")
+def _put(data, at, fmt, *values):
+    """`data` with the packed `values` written over it at byte `at`."""
+    packed = struct.pack(fmt, *values)
+    return data[:at] + packed + data[at + len(packed):]
 
 
 def test_read_vtk_truncated_points(tmp_path):
-    path, lines = _rectangle_vtk(tmp_path)
-    _rewrite(path, lines[:8])  # header + 3 of 9 point rows
-    with pytest.raises(MeshIOError, match=r"rect\.vtk.*POINTS"):
+    path, data, at = _rectangle_vtk(tmp_path)
+    points = block_start(data, at["POINTS"])
+    path.write_bytes(data[:points + 3 * 24])  # header + 3 of 9 points
+    with pytest.raises(MeshIOError, match=rf"rect\.vtk: byte {points}: "
+                       "unexpected end of file in POINTS"):
         read_vtk(path)
 
 
 def test_read_vtk_truncated_scalars(tmp_path):
-    path, lines = _rectangle_vtk(tmp_path)
-    _rewrite(path, lines[:-3])
-    with pytest.raises(MeshIOError, match=r"rect\.vtk.*SCALARS u"):
+    path, data, at = _rectangle_vtk(tmp_path)
+    path.write_bytes(data[:-3 * 8 - 1])  # the last 3 values and newline
+    with pytest.raises(MeshIOError, match=r"rect\.vtk: byte \d+: "
+                       "unexpected end of file in SCALARS u"):
         read_vtk(path)
 
 
 def test_read_vtk_short_point_row(tmp_path):
-    path, lines = _rectangle_vtk(tmp_path)
-    lines[6] = "0.5 0"
-    _rewrite(path, lines)
-    with pytest.raises(MeshIOError, match=r"rect\.vtk.*POINTS"):
+    # the binary twin of a short POINTS row: 10 points announced over 9
+    path, data, at = _rectangle_vtk(tmp_path)
+    data = replace_line(data, at["POINTS"], "POINTS 10 double")
+    path.write_bytes(data)
+    with pytest.raises(MeshIOError, match=(
+            rf"rect\.vtk: byte {block_start(data, at['POINTS'])}: POINTS "
+            "block is not followed by a newline")):
         read_vtk(path)
 
 
+def _cell_row(data, at, row):
+    """The offset of CELLS row `row` (4 int32 each) in the rectangle."""
+    return block_start(data, at["CELLS"]) + 16 * row
+
+
+def _four_vertex_cell(data, at):
+    """CELLS row 2 widened to a 4-vertex cell among triangles."""
+    row = _cell_row(data, at, 2)
+    return (data[:row] + struct.pack(">i", 4) + data[row + 4:row + 16]
+            + struct.pack(">i", 3) + data[row + 16:])
+
+
 @pytest.mark.parametrize("edit", [
-    lambda row: row + " 3",              # a 4-vertex cell among triangles
-    lambda row: "2" + row[1:],           # leading count differs, same indices
-    lambda row: row.rsplit(" ", 1)[0],   # an index missing
+    _four_vertex_cell,
+    # leading count differs, same indices
+    lambda data, at: _put(data, _cell_row(data, at, 2), ">i", 2),
+    # the size one short of 8 rows of 4
+    lambda data, at: replace_line(data, at["CELLS"], "CELLS 8 31"),
 ], ids=["extra_index", "wrong_count", "short_row"])
 def test_read_vtk_inconsistent_cell_row(tmp_path, edit):
-    path, lines = _rectangle_vtk(tmp_path)
-    row = next(i for i, ln in enumerate(lines) if ln.startswith("CELLS")) + 3
-    lines[row] = edit(lines[row])
-    _rewrite(path, lines)
-    with pytest.raises(MeshIOError, match=r"rect\.vtk.*CELLS"):
+    path, data, at = _rectangle_vtk(tmp_path)
+    path.write_bytes(edit(data, at))
+    with pytest.raises(MeshIOError, match=r"rect\.vtk: byte \d+: .*CELLS"):
         read_vtk(path)
 
 
 def test_read_vtk_any_truncation_is_a_mesh_io_error(tmp_path):
-    path, lines = _rectangle_vtk(tmp_path)
-    for keep in range(len(lines)):
-        _rewrite(path, lines[:keep])
+    path, data, at = _rectangle_vtk(tmp_path)
+    whole = []
+    for keep in range(len(data)):
+        path.write_bytes(data[:keep])
         try:
             read_vtk(path)  # a cut between whole blocks is a valid file
         except MeshIOError as exc:
-            assert "rect.vtk" in str(exc)
+            assert "rect.vtk: byte " in str(exc)
+        else:
+            whole.append(keep)
+    # after CELL_TYPES and after POINT_DATA; the whole file reads too
+    assert whole == [at["POINT_DATA"], at["SCALARS"]]
 
 
-@pytest.mark.parametrize("block, offset, value", [
-    ("SCALARS", 2, "nan?"),
-    ("CELLS", 1, "3 0 1.5 4"),
-    ("CELLS", 1, "3 0 1 99999999999999999999"),
-    ("CELL_TYPES", 1, "7"),
-    ("POINTS", 0, "POINTS many double"),
+@pytest.mark.parametrize("block, edit", [
+    ("SCALARS", lambda data, at: (
+        replace_line(data, at["SCALARS"], "SCALARS"), at["SCALARS"])),
+    ("CELLS", lambda data, at: (
+        _put(data, _cell_row(data, at, 0) + 4, ">i", -1),
+        _cell_row(data, at, 0))),
+    ("CELLS", lambda data, at: (
+        _put(data, _cell_row(data, at, 0) + 4, ">i", 9),
+        _cell_row(data, at, 0))),
+    ("CELL_TYPES", lambda data, at: (
+        _put(data, block_start(data, at["CELL_TYPES"]), ">i", 7),
+        block_start(data, at["CELL_TYPES"]))),
+    ("POINTS", lambda data, at: (
+        replace_line(data, at["POINTS"], "POINTS many double"),
+        at["POINTS"])),
+    ("LOOKUP_TABLE", lambda data, at: (
+        data[:at["LOOKUP_TABLE"]]
+        + data[block_start(data, at["LOOKUP_TABLE"]):],
+        at["LOOKUP_TABLE"])),
+    ("SCALARS u float", lambda data, at: (
+        replace_line(data, at["SCALARS"], "SCALARS u float 1"),
+        at["SCALARS"])),
 ], ids=["scalar_word", "fractional_index", "huge_index", "cell_type",
-        "header_count"])
-def test_read_vtk_bad_token_names_block(tmp_path, block, offset, value):
-    path, lines = _rectangle_vtk(tmp_path)
-    row = next(i for i, ln in enumerate(lines)
-               if ln.split()[0] == block) + offset
-    lines[row] = value
-    _rewrite(path, lines)
-    with pytest.raises(MeshIOError, match=rf"rect\.vtk.*{block}"):
+        "header_count", "missing_lookup_table", "scalar_type"])
+def test_read_vtk_bad_token_names_block(tmp_path, block, edit):
+    # the index defects of the text format (a fraction, an index past
+    # int64) are an index of -1 and an index of nv = 9 in binary
+    path, data, at = _rectangle_vtk(tmp_path)
+    data, offset = edit(data, at)
+    path.write_bytes(data)
+    with pytest.raises(MeshIOError,
+                       match=rf"rect\.vtk: byte {offset}: .*{block}"):
         read_vtk(path)
 
 
 @pytest.mark.parametrize("token", ["nan", "1e999"])
 def test_read_vtk_rejects_non_finite_points(tmp_path, token):
-    path, lines = _rectangle_vtk(tmp_path)
-    row = next(i for i, ln in enumerate(lines) if ln.startswith("POINTS")) + 5
-    lines[row] = f"0.5 {token} 0"
-    _rewrite(path, lines)
-    with pytest.raises(MeshError, match="non-finite"):
+    path, data, at = _rectangle_vtk(tmp_path)
+    point = block_start(data, at["POINTS"]) + 4 * 24  # the fifth point
+    path.write_bytes(_put(data, point, ">3d", 0.5, float(token), 0.0))
+    with pytest.raises(MeshError, match=r"rect\.vtk: non-finite"):
+        read_vtk(path)
+
+
+def test_read_vtk_rejects_trailing_content(tmp_path):
+    path, data, at = _rectangle_vtk(tmp_path)
+    vectors = (b"VECTORS w double\n" + np.zeros((9, 3), ">f8").tobytes()
+               + b"\nSCALARS v double 1\nLOOKUP_TABLE default\n"
+               + np.ones(9, ">f8").tobytes() + b"\n")
+    for cut, tail in [(len(data), vectors), (at["POINT_DATA"], vectors),
+                      (len(data), b"\n"), (len(data), b"SCALARS v")]:
+        path.write_bytes(data[:cut] + tail)
+        with pytest.raises(MeshIOError, match=rf"rect\.vtk: byte {cut}: "):
+            read_vtk(path)
+
+
+def test_read_vtk_refuses_legacy_ascii(tmp_path):
+    path = tmp_path / "old.vtk"
+    path.write_text("# vtk DataFile Version 3.0\nmodeiso mesh\nASCII\n"
+                    "DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
+                    "0 0 0\n1 0 0\n0 1 0\nCELLS 1 4\n3 0 1 2\n"
+                    "CELL_TYPES 1\n5\n")
+    with pytest.raises(MeshIOError, match=re.escape(
+            f"{path}: legacy ASCII VTK is not read; expected BINARY")):
         read_vtk(path)
 
 
@@ -256,26 +359,23 @@ def test_read_off_one_record_per_line(tmp_path, text, line, what):
 ], ids=["cells_size", "cell_types_count", "point_data_count",
         "scalars_components"])
 def test_read_vtk_header_count_must_match_its_block(tmp_path, prefix, value):
-    path, lines = _rectangle_vtk(tmp_path)
-    row = next(i for i, ln in enumerate(lines) if ln.split()[0] == prefix)
-    lines[row] = value
-    _rewrite(path, lines)
-    with pytest.raises(MeshIOError, match=rf"rect\.vtk:{row + 1}: "):
+    path, data, at = _rectangle_vtk(tmp_path)
+    path.write_bytes(replace_line(data, at[prefix], value))
+    with pytest.raises(MeshIOError,
+                       match=rf"rect\.vtk: byte {at[prefix]}: expected "):
         read_vtk(path)
 
 
 def test_read_vtk_rejects_a_repeated_field(tmp_path):
-    path, lines = _rectangle_vtk(tmp_path)
-    scalars = lines.index("SCALARS u double 1")
-    _rewrite(path, lines + lines[scalars:])
+    path, data, at = _rectangle_vtk(tmp_path)
+    path.write_bytes(data + data[at["SCALARS"]:])
     with pytest.raises(MeshIOError,
-                       match=rf"rect\.vtk:{len(lines) + 1}: .*'u'"):
+                       match=rf"rect\.vtk: byte {len(data)}: .*'u'"):
         read_vtk(path)
 
 
 def test_read_vtk_scalars_component_count_is_optional(tmp_path):
-    path, lines = _rectangle_vtk(tmp_path)
-    lines[lines.index("SCALARS u double 1")] = "SCALARS u double"
-    _rewrite(path, lines)
+    path, data, at = _rectangle_vtk(tmp_path)
+    path.write_bytes(replace_line(data, at["SCALARS"], "SCALARS u double"))
     _, fields = read_vtk(path)
     assert np.array_equal(fields["u"], np.arange(9.0))
