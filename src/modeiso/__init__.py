@@ -25,7 +25,7 @@ _EXPORTS = {
     "fem": ("assemble_mass", "assemble_stiffness", "interpolate", "m_inner",
             "m_norm"),
     "isolation": ("IsolationError", "IsolationResult", "IsolationStatus",
-                  "isolate_mode", "pair_isolation", "verify_isolation"),
+                  "isolate_mode", "pair_isolation"),
     "kinetics": ("Jacobian2x2", "KineticsError", "KineticsModel",
                  "SteadyState", "critical_diffusion_ratio", "dispersion",
                  "gierer_meinhardt", "make_model", "schnakenberg", "thomas",
@@ -34,7 +34,7 @@ _EXPORTS = {
              "dumbbell_map", "ellipse_map", "fish_map", "generate_ball",
              "generate_disk", "generate_icosphere", "generate_interval",
              "generate_rectangle", "generate_tube", "map_vertices"),
-    "meshio": ("MeshIOError", "read_off", "read_vtk", "write_vtk"),
+    "meshio": ("MeshIOError", "read_vtk", "write_vtk"),
     "pattern_metrics": ("MatchReport", "match_pattern"),
     "reference_spectra": ("AnalyticEigenvalue", "bessel_derivative_roots",
                           "rectangle_neumann", "sphere_bulk_spectrum",

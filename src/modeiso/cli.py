@@ -3,10 +3,11 @@
 Each subcommand reads the same YAML run configuration and is one stage
 over a `Run`, which builds the mesh, the matrices, the spectrum, the
 kinetics Jacobian and the isolation result on first use, each at most
-once.  `pipeline` runs the isolate, simulate and match stages over one
-`Run`; it writes no mesh.vtk or eigenvalues.csv.  Outputs are
-deterministic for fixed seeds: every artifact, CSV, JSON and VTK, is
-byte-identical across reruns.
+once.  `mesh` writes the mesh as the legacy BINARY VTK that a config's
+`mesh.path` reads back.  `pipeline` runs the isolate, simulate and match
+stages over one `Run`; it writes no mesh.vtk or eigenvalues.csv.
+Outputs are deterministic for fixed seeds: every artifact, CSV, JSON
+and VTK, is byte-identical across reruns.
 
 Exit codes: 0 success, 1 computation error (or a failed write),
 2 configuration error (or an output directory that cannot be created),
@@ -49,11 +50,6 @@ class StageError(RuntimeError):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _in_3d(mesh) -> np.ndarray:
-    """The mesh's vertices padded with zero columns to 3 coordinates."""
-    return np.pad(mesh.vertices, ((0, 0), (0, 3 - mesh.embedding_dim)))
 
 
 class Run:
@@ -137,10 +133,9 @@ class Run:
             raise StageError(f"no simulation output at {path}; "
                              "run 'simulate' first")
         saved, fields = read_vtk(path)
-        # a flat surface reads back planar, so compare vertices in 3D
         for what, theirs, ours in (
                 ("cells", saved.cells, self.mesh.cells),
-                ("vertices", _in_3d(saved), _in_3d(self.mesh))):
+                ("vertices", saved.vertices, self.mesh.vertices)):
             if not np.array_equal(theirs, ours):
                 raise StageError(f"{path} was grown on another mesh: its "
                                  f"{what} differ from this config's mesh")

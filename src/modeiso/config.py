@@ -1,7 +1,10 @@
 """Run configuration: a strict YAML schema binding the pipeline together.
 
 Unknown keys are rejected with the full field path so typos never pass
-silently.  Kinetics parameters default to the built-in model defaults.
+silently.  The mesh comes from a named generator or from the legacy
+BINARY VTK file that `mesh.path` names (the format `modeiso mesh`
+writes), either one optionally deformed.  Kinetics parameters default
+to the built-in model defaults.
 """
 
 from __future__ import annotations
@@ -73,24 +76,28 @@ def _check_params(params: dict, types: dict[str, type], path: str) -> None:
 class MeshSpec:
     generator: str | None = None
     params: dict = field(default_factory=dict)
-    off_path: str | None = None
+    path: str | None = None
     deformation: str | None = None
 
     @classmethod
     def parse(cls, node: Any) -> "MeshSpec":
         node = _require_mapping(node, "mesh")
-        _check_keys(node, {"generator", "params", "off_path", "deformation"},
+        _check_keys(node, {"generator", "params", "path", "deformation"},
                     "mesh")
+        for key in ("generator", "path", "deformation"):
+            if node.get(key) is not None and not isinstance(node[key], str):
+                raise ConfigError(f"mesh.{key}: expected a string, "
+                                  f"got {node[key]!r}")
         gen = node.get("generator")
-        off = node.get("off_path")
-        if (gen is None) == (off is None):
+        path = node.get("path")
+        if (gen is None) == (path is None):
             raise ConfigError("mesh: exactly one of 'generator' and "
-                              "'off_path' is required")
+                              "'path' is required")
         if gen is not None and gen not in _GENERATORS:
             raise ConfigError(f"mesh.generator: unknown generator {gen!r}; "
                               f"choose from {sorted(_GENERATORS)}")
-        if off is not None and "params" in node:
-            raise ConfigError("mesh.params: a mesh read from 'off_path' "
+        if path is not None and "params" in node:
+            raise ConfigError("mesh.params: a mesh read from 'path' "
                               "takes no parameters")
         params = _require_mapping(node.get("params"), "mesh.params")
         if gen is not None:
@@ -103,16 +110,16 @@ class MeshSpec:
             raise ConfigError(
                 f"mesh.deformation: unknown preset {deformation!r}; "
                 f"choose from {sorted(DEFORMATION_PRESETS)}")
-        return cls(generator=gen, params=dict(params), off_path=off,
+        return cls(generator=gen, params=dict(params), path=path,
                    deformation=deformation)
 
     def build(self) -> Mesh:
-        from .meshio import MeshIOError, read_off
-        if self.off_path is not None:
+        if self.path is not None:
+            from .meshio import MeshIOError, read_vtk
             try:
-                mesh = read_off(self.off_path)
+                mesh = read_vtk(self.path)[0]   # point fields are ignored
             except (OSError, MeshIOError, meshmod.MeshError) as exc:
-                raise ConfigError(f"mesh.off_path: {exc}")
+                raise ConfigError(f"mesh.path: {exc}")
         else:
             try:
                 mesh = _GENERATORS[self.generator](**self.params)

@@ -68,15 +68,6 @@ def _inside(values: np.ndarray, window: tuple[float, float]) -> list[int]:
     return [int(i) for i in np.nonzero((values > lo) & (values < hi))[0]]
 
 
-def verify_isolation(values: np.ndarray, J: Jacobian2x2, d: float,
-                     gamma: float) -> list[int]:
-    """Indices of eigenvalues strictly inside the window for (d, gamma).
-
-    Pure audit; `pair_isolation` uses it for a user-supplied pair.
-    """
-    return _inside(values, wavenumber_window(J, d, gamma))
-
-
 def _status(excited) -> IsolationStatus:
     """UNIQUE for one excited index, CLUSTERED for several, FAILED for none."""
     return (IsolationStatus.UNIQUE if len(excited) == 1
@@ -86,11 +77,12 @@ def _status(excited) -> IsolationStatus:
 
 def pair_isolation(values: np.ndarray, J: Jacobian2x2, d: float,
                    gamma: float) -> IsolationResult:
-    """The isolation result of a given (d, gamma): what its window excites."""
-    excited = verify_isolation(values, J, d, gamma)
-    return IsolationResult(_status(excited), d, gamma,
-                           wavenumber_window(J, d, gamma), tuple(excited),
-                           critical_diffusion_ratio(J))
+    """The isolation result of a given (d, gamma): the eigenvalues
+    strictly inside its window are the excited ones."""
+    window = wavenumber_window(J, d, gamma)
+    excited = _inside(values, window)
+    return IsolationResult(_status(excited), d, gamma, window,
+                           tuple(excited), critical_diffusion_ratio(J))
 
 
 def isolate_mode(values: np.ndarray, target_index: int,

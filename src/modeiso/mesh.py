@@ -115,7 +115,12 @@ class Mesh:
             raise MeshError("mesh has no cells")
         if not np.isfinite(self.vertices).all():
             raise MeshError("non-finite vertex coordinates")
-        measures = simplex_measures(self.vertices, self.cells)
+        with np.errstate(over="ignore", invalid="ignore"):
+            measures = simplex_measures(self.vertices, self.cells)
+        huge = np.flatnonzero(~np.isfinite(measures))
+        if huge.size:   # it would make every finite cell look degenerate
+            raise MeshError(f"cells with non-finite measure: "
+                            f"{huge.tolist()[:10]}")
         bad = np.nonzero(measures <= DEGENERACY_RTOL * measures.mean())[0]
         if bad.size:
             raise MeshError(f"degenerate cells: {bad.tolist()[:10]}")

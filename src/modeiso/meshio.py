@@ -1,22 +1,20 @@
-"""OFF reading and VTK legacy BINARY writing/reading.
+"""VTK legacy BINARY writing and reading, the toolkit's one mesh format.
 
-Only the subset needed by the toolkit is supported: ASCII OFF triangle
-meshes on input, one vertex or face per line, and VTK legacy 3.0
-`DATASET UNSTRUCTURED_GRID` with scalar POINT_DATA on output (cell types
-3, 5 and 10).  A VTK file is written as `BINARY`: text header lines, each
-numeric block (POINTS, CELLS, CELL_TYPES, one per SCALARS field) one
-big-endian array (`>f8` or `>i4`) followed by a newline, so a write/read
-round trip is bit-exact and no value is formatted or parsed as text.
-The VTK reader walks the file with a byte cursor and checks every header
-count against the block it announces; the OFF reader parses every
-numeric block (counts, vertices, faces) with one row parser and one array
-conversion.
+Only the subset needed by the toolkit is supported: VTK legacy 3.0
+`DATASET UNSTRUCTURED_GRID` with scalar POINT_DATA (cell types 3, 5 and
+10: lines, triangles and tetrahedra).  A VTK file is written as
+`BINARY`: text header lines, each numeric block (POINTS, CELLS,
+CELL_TYPES, one per SCALARS field) one big-endian array (`>f8` or
+`>i4`) followed by a newline, so a write/read round trip is bit-exact
+and no value is formatted or parsed as text.  The reader walks the file
+with a byte cursor and checks every header count against the block it
+announces.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -28,67 +26,6 @@ _VTK_MAX_INDEX = int(np.iinfo(">i4").max)  # legacy VTK indices are int32
 
 class MeshIOError(ValueError):
     """Malformed mesh file or inconsistent field data."""
-
-
-def _rows(path: str | os.PathLike, lines: Sequence[str], start: int,
-          rows: int, width: int, dtype: type, what: str,
-          line: Callable[[int], int]) -> np.ndarray:
-    """`lines[start:start + rows]`, each `width` numbers, as an array;
-    `line(i)` is the file line number of `lines[i]`, for the messages."""
-    text = lines[start:start + rows]
-    if len(text) < rows:
-        raise MeshIOError(f"{path}:{line(start + len(text) - 1)}: unexpected "
-                          f"end of file in {what} block ({len(text)} of "
-                          f"{rows} rows)")
-    if rows and set(map(len, map(str.split, text))) != {width}:
-        bad = next(i for i, row in enumerate(text)
-                   if len(row.split()) != width)
-        raise MeshIOError(f"{path}:{line(start + bad)}: {what} row has "
-                          f"{len(text[bad].split())} values, expected "
-                          f"{width}")
-    try:
-        values = np.array(" ".join(text).split(), dtype=dtype)
-    except (ValueError, OverflowError) as exc:
-        raise MeshIOError(f"{path}:{line(start)}: bad value in {what} "
-                          f"block: {exc}") from None
-    return values.reshape(rows, width)
-
-
-def read_off(path: str | os.PathLike) -> Mesh:
-    """Read an ASCII OFF triangle mesh, one record per line; '#' starts a
-    comment."""
-    with open(path) as fh:
-        records = [(n, body) for n, text in enumerate(fh, start=1)
-                   if (body := text.split("#", 1)[0].strip())]
-    lines = [body for _, body in records]
-    numbers = [n for n, _ in records] or [1]  # an empty file ends at line 1
-    line = numbers.__getitem__
-    start = 0
-    if lines and lines[0].split()[0].upper() == "OFF":
-        lines[0] = lines[0][3:]  # the counts may follow on the header line
-        start = 0 if lines[0] else 1
-    nv, nf, _ = _rows(path, lines, start, 1, 3, np.intp, "counts",
-                      line)[0].tolist()
-    if nv < 0 or nf < 0:
-        raise MeshIOError(f"{path}:{line(start)}: negative vertex/face "
-                          f"counts {nv} {nf}")
-    verts = _rows(path, lines, start + 1, nv, 3, float, "vertex", line)
-    first = start + 1 + nv
-    for i, row in enumerate(lines[first:first + nf], start=first):
-        if (n := row.split()[0]) != "3":
-            raise MeshIOError(f"{path}:{line(i)}: only triangle faces are "
-                              f"supported, got {n}-gon")
-    faces = _rows(path, lines, first, nf, 4, np.intp, "face", line)
-    return _checked_mesh(path, verts, faces[:, 1:])
-
-
-def _checked_mesh(path: str | os.PathLike, vertices: np.ndarray,
-                  cells: np.ndarray) -> Mesh:
-    """`Mesh(vertices, cells)`, with a rejection naming the file."""
-    try:
-        return Mesh(vertices, cells)
-    except MeshError as exc:
-        raise MeshError(f"{path}: {exc}") from None
 
 
 def write_vtk(mesh: Mesh, fields: Mapping[str, np.ndarray],
@@ -151,7 +88,9 @@ def read_vtk(path: str | os.PathLike) -> tuple[Mesh, dict[str, np.ndarray]]:
     after any whole SCALARS field; anything else after the last block is
     an error.  A truncated or malformed file, or a legacy ASCII one,
     raises MeshIOError naming the path, the byte offset where the
-    offending header or block starts, and the block.
+    offending header or block starts, and the block; a mesh that `Mesh`
+    rejects raises MeshError naming the path.  Triangles whose every z
+    is exactly 0 read back as a planar mesh.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -271,6 +210,9 @@ def read_vtk(path: str | os.PathLike) -> tuple[Mesh, dict[str, np.ndarray]]:
         fields[name] = block(">f8", nv, f"SCALARS {name}")[1]
 
     embed = {3: 1, 5: 3, 10: 3}[cell_type]
-    if cell_type == 5 and np.allclose(points[:, 2], 0.0):
-        embed = 2  # flat triangles are a planar mesh, not a surface
-    return _checked_mesh(path, points[:, :embed], cells), fields
+    if cell_type == 5 and not points[:, 2].any():
+        embed = 2  # exactly flat triangles are a planar mesh, not a surface
+    try:
+        return Mesh(points[:, :embed], cells), fields
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None

@@ -118,10 +118,32 @@ def test_count_beyond_the_mesh_is_config_error(tmp_path, capsys, command):
     assert os.listdir(tmp_path / "out") == []
 
 
-def test_missing_off_path_is_config_error(tmp_path, capsys):
-    path = write_config(tmp_path, mesh={"off_path": str(tmp_path / "no.off")})
+def test_missing_mesh_path_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, mesh={"path": str(tmp_path / "no.vtk")})
     assert main(["mesh", "--config", str(path)]) == 2
-    assert "config error: mesh.off_path" in capsys.readouterr().err
+    assert "config error: mesh.path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh, message", [
+    ({"path": 0}, "mesh.path: expected a string"),
+    ({"generator": ["disk"]}, "mesh.generator: expected a string"),
+    ({"generator": "disk", "deformation": {"a": 1}},
+     "mesh.deformation: expected a string"),
+    ({"off_path": "x.off"}, "mesh: unknown keys ['off_path']"),
+], ids=["int_path", "list_generator", "mapping_deformation", "off_path"])
+def test_bad_mesh_name_is_config_error(tmp_path, capsys, mesh, message):
+    path = write_config(tmp_path, mesh=mesh)
+    assert main(["mesh", "--config", str(path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_off_file_as_mesh_path_is_config_error(tmp_path, capsys):
+    off = tmp_path / "triangle.off"
+    off.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    path = write_config(tmp_path, mesh={"path": str(off)})
+    assert main(["mesh", "--config", str(path)]) == 2
+    assert (f"config error: mesh.path: {off}: byte 0: expected "
+            "'# vtk DataFile'") in capsys.readouterr().err
 
 
 def test_uncreatable_output_directory_is_config_error(tmp_path, capsys):
@@ -298,36 +320,16 @@ def test_match_refuses_a_state_grown_on_another_mesh(tmp_path, capsys):
         assert "error [match]:" in err and "another mesh" in err
 
 
-def _write_off(mesh, path):
-    """`mesh` as an OFF file, every coordinate padded to 3 and '%.17g'."""
-    nv, nc = mesh.n_vertices, mesh.n_cells
-    points = np.zeros((nv, 3))
-    points[:, :mesh.embedding_dim] = mesh.vertices
-    path.write_text(f"OFF\n{nv} {nc} 0\n"
-                    + ("%.17g %.17g %.17g\n" * nv) % tuple(points.ravel())
-                    + ("3 %d %d %d\n" * nc) % tuple(mesh.cells.ravel()))
-
-
-def test_match_accepts_a_flat_off_surface_read_back_planar(tmp_path):
-    off = tmp_path / "square.off"
-    _write_off(mi.generate_rectangle(1.0, 1.0, 8, 8), off)
-    path = write_config(tmp_path, mesh={"off_path": str(off)})
-    _eigenvector_state(tmp_path, path, 2)   # u on the planar read-back
-    assert read_vtk(str(tmp_path / "out" / "final_state.vtk"))[0] \
-        .embedding_dim == 2
-    assert main(["match", "--config", str(path)]) == 0
-
-
-def test_pipeline_on_an_off_file_repeats_the_generator_run(tmp_path):
-    off = tmp_path / "icosphere2.off"
-    _write_off(mi.generate_icosphere(2), off)
+def test_pipeline_on_a_vtk_file_repeats_the_generator_run(tmp_path):
+    mesh_file = tmp_path / "icosphere2.vtk"
+    write_vtk(mi.generate_icosphere(2), {}, mesh_file)
     with open(os.path.join(ROOT, "configs", "sphere_l2.yaml")) as fh:
         config = yaml.safe_load(fh)
     names = ["isolation.json", "outcome.json", "match.json",
              "derivative_history.csv", "final_state.vtk"]
     runs = {}
     for name, mesh in (("generator", config["mesh"]),
-                       ("off", {"off_path": str(off)})):
+                       ("file", {"path": str(mesh_file)})):
         path = tmp_path / f"{name}.yaml"
         path.write_text(yaml.safe_dump(
             {**config, "mesh": mesh, "output_dir": str(tmp_path / name)}))
@@ -335,7 +337,7 @@ def test_pipeline_on_an_off_file_repeats_the_generator_run(tmp_path):
         runs[name] = {n: re.sub(rb"config_sha256=[0-9a-f]+", b"",
                                 (tmp_path / name / n).read_bytes())
                       for n in names}
-    assert runs["off"] == runs["generator"]
+    assert runs["file"] == runs["generator"]
 
 
 def test_target_and_pair_together_is_a_config_error(tmp_path):

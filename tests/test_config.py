@@ -1,9 +1,12 @@
 import re
 
+import numpy as np
 import pytest
 import yaml
 
+import modeiso as mi
 from modeiso.config import ConfigError, RunConfig, load_config
+from modeiso.meshio import write_vtk
 
 MINIMAL = {
     "mesh": {"generator": "rectangle",
@@ -25,6 +28,24 @@ def test_minimal_config_defaults():
 def test_mesh_build_from_generator():
     mesh = RunConfig.parse(MINIMAL).mesh.build()
     assert mesh.n_vertices == 25
+
+
+def test_mesh_build_from_path(tmp_path):
+    ball, path = mi.generate_ball(0), str(tmp_path / "ball.vtk")
+    # the file's point fields are ignored
+    write_vtk(ball, {"u": np.ones(ball.n_vertices)}, path)
+    built = RunConfig.parse(dict(MINIMAL, mesh={"path": path})).mesh.build()
+    assert np.array_equal(built.vertices, ball.vertices)
+    assert np.array_equal(built.cells, ball.cells)
+
+
+def test_deformation_applies_to_a_mesh_from_path(tmp_path):
+    sphere, path = mi.generate_icosphere(1), str(tmp_path / "sphere.vtk")
+    write_vtk(sphere, {}, path)
+    built = RunConfig.parse(dict(MINIMAL, mesh={
+        "path": path, "deformation": "dumbbell"})).mesh.build()
+    want = mi.map_vertices(sphere, mi.DEFORMATION_PRESETS["dumbbell"])
+    assert np.array_equal(built.vertices, want.vertices)
 
 
 def test_unknown_key_rejected_with_path():
@@ -52,8 +73,8 @@ def test_unknown_generator_rejected():
         RunConfig.parse(bad)
 
 
-def test_generator_and_off_path_mutually_exclusive():
-    bad = dict(MINIMAL, mesh={"generator": "disk", "off_path": "x.off"})
+def test_generator_and_path_mutually_exclusive():
+    bad = dict(MINIMAL, mesh={"generator": "disk", "path": "x.vtk"})
     with pytest.raises(ConfigError, match="exactly one"):
         RunConfig.parse(bad)
 
@@ -107,7 +128,7 @@ def test_bool_or_infinite_number_rejected(section, key, value):
               "params": {"length": 4.0, "radius": 0.5, "closed_ends": 1,
                          "refinement": 2}},
      "mesh.params.closed_ends"),
-    ("mesh", {"off_path": "x.off", "params": {"refinement": 2}},
+    ("mesh", {"path": "x.vtk", "params": {"refinement": 2}},
      "mesh.params"),
 ])
 def test_nested_params_rejected(section, node, path):

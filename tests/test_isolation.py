@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import modeiso as mi
 from modeiso.isolation import (IsolationError, IsolationStatus, isolate_mode,
-                               verify_isolation)
+                               pair_isolation)
 from modeiso.kinetics import critical_diffusion_ratio
 from modeiso.reference_spectra import (eigenvalue_array, rectangle_neumann,
                                        sphere_bulk_spectrum,
@@ -27,7 +27,8 @@ def test_unique_isolation_on_rectangle(J, lx, n, target):
     result = isolate_mode(vals, target, J)
     assert result.status is IsolationStatus.UNIQUE
     assert result.excited_indices == (target,)
-    assert verify_isolation(vals, J, result.d, result.gamma) == [target]
+    assert pair_isolation(vals, J, result.d,
+                          result.gamma).excited_indices == (target,)
 
 
 def test_degenerate_pair_is_clustered(J):
@@ -92,11 +93,11 @@ def test_rejects_non_turing_kinetics():
         isolate_mode(np.array([0.0, 1.0, 2.0]), 1, bad)
 
 
-def test_verify_isolation_pure_audit(J):
+def test_pair_isolation_excites_the_window_interior(J):
     vals = np.array([0.0, 4.0, 9.0, 25.0])
-    excited = verify_isolation(vals, J, 10.0, 15.0)
+    excited = pair_isolation(vals, J, 10.0, 15.0).excited_indices
     lo, hi = mi.wavenumber_window(J, 10.0, 15.0)
-    assert excited == [i for i, v in enumerate(vals) if lo < v < hi]
+    assert excited == tuple(i for i, v in enumerate(vals) if lo < v < hi)
 
 
 @settings(max_examples=25, deadline=None)
@@ -111,7 +112,8 @@ def test_isolation_soundness_property(target, seed):
     result = isolate_mode(vals, target, Jm)
     assert result.status is not IsolationStatus.FAILED
     if result.status is IsolationStatus.UNIQUE:
-        assert verify_isolation(vals, Jm, result.d, result.gamma) == [target]
+        assert pair_isolation(vals, Jm, result.d,
+                              result.gamma).excited_indices == (target,)
     assert target in result.excited_indices
     d_c = critical_diffusion_ratio(Jm)
     assert all(d > d_c for d, _, _ in result.trace)

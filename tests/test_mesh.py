@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ def test_degenerate_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     cells = np.array([[0, 1, 2], [0, 1, 3]])  # first triangle is a sliver
     with pytest.raises(MeshError, match="degenerate"):
+        mi.Mesh(verts, cells)
+
+
+def test_overflowing_cell_is_named_alone():
+    # cell 1's area overflows to inf, which must not make cell 0 degenerate
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e300, 1e300]])
+    cells = np.array([[0, 1, 2], [1, 3, 2]])
+    with pytest.raises(MeshError, match=re.escape(
+            "cells with non-finite measure: [1]")):
+        mi.Mesh(verts, cells)
+    # a finite huge cell still makes cell 0 relatively degenerate
+    verts[3] = 1e150
+    with pytest.raises(MeshError, match=re.escape("degenerate cells: [0]")):
         mi.Mesh(verts, cells)
 
 

@@ -8,62 +8,9 @@ import pytest
 
 import modeiso as mi
 from modeiso.mesh import MeshError
-from modeiso.meshio import MeshIOError, read_off, read_vtk, write_vtk
+from modeiso.meshio import MeshIOError, read_vtk, write_vtk
 
 from conftest import block_start, replace_line, vtk_headers
-
-
-OFF_TETRA_SURFACE = """\
-OFF
-# a regular-ish tetrahedron surface
-4 4 6
-0 0 0
-1 0 0
-0.5 1 0
-0.5 0.5 1
-3 0 2 1
-3 0 1 3
-3 1 2 3
-3 0 3 2
-"""
-
-
-def test_read_off_round(tmp_path):
-    path = tmp_path / "tetra.off"
-    path.write_text(OFF_TETRA_SURFACE)
-    mesh = read_off(path)
-    assert mesh.n_vertices == 4
-    assert mesh.n_cells == 4
-    assert mesh.kind is mi.MeshKind.SURFACE
-
-
-def test_read_off_reports_line_numbers(tmp_path):
-    path = tmp_path / "bad.off"
-    for text in ("OFF\n4 4 6\n0 0 zero\n", "OFF\n# counts\n-1 0 0\n"):
-        path.write_text(text)
-        with pytest.raises(MeshIOError, match=r"bad.off:3"):
-            read_off(path)
-
-
-def test_read_off_rejects_quads(tmp_path):
-    path = tmp_path / "quad.off"
-    path.write_text("OFF\n4 1 4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
-    with pytest.raises(MeshIOError, match="triangle"):
-        read_off(path)
-
-
-def test_read_off_mesh_rejection_names_the_file(tmp_path):
-    path = tmp_path / "tetra.off"
-    path.write_text(OFF_TETRA_SURFACE.replace("0.5 1 0", "0.5 nan 0"))
-    with pytest.raises(MeshError, match=r"tetra\.off: non-finite"):
-        read_off(path)
-
-
-def test_read_off_truncated(tmp_path):
-    path = tmp_path / "trunc.off"
-    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n")
-    with pytest.raises(MeshIOError, match="end of file"):
-        read_off(path)
 
 
 @pytest.mark.parametrize("make", [
@@ -317,6 +264,21 @@ def test_read_vtk_rejects_trailing_content(tmp_path):
             read_vtk(path)
 
 
+def test_read_vtk_demotes_only_an_exactly_flat_surface(tmp_path):
+    flat = mi.generate_rectangle(1.0, 1.0, 4, 4)
+    lifted = np.pad(flat.vertices, ((0, 0), (0, 1)))
+    path = tmp_path / "surface.vtk"
+    write_vtk(mi.Mesh(lifted, flat.cells), {}, path)
+    back, _ = read_vtk(path)
+    assert back.kind is mi.MeshKind.PLANAR
+    assert np.array_equal(back.vertices, flat.vertices)
+    lifted[7, 2] = 1e-9   # near flat is still a surface
+    write_vtk(mi.Mesh(lifted, flat.cells), {}, path)
+    back, _ = read_vtk(path)
+    assert back.kind is mi.MeshKind.SURFACE
+    assert np.array_equal(back.vertices, lifted)
+
+
 def test_read_vtk_refuses_legacy_ascii(tmp_path):
     path = tmp_path / "old.vtk"
     path.write_text("# vtk DataFile Version 3.0\nmodeiso mesh\nASCII\n"
@@ -326,29 +288,6 @@ def test_read_vtk_refuses_legacy_ascii(tmp_path):
     with pytest.raises(MeshIOError, match=re.escape(
             f"{path}: legacy ASCII VTK is not read; expected BINARY")):
         read_vtk(path)
-
-
-def test_read_off_counts_on_the_header_line(tmp_path):
-    path = tmp_path / "tetra.off"
-    path.write_text(OFF_TETRA_SURFACE)
-    mesh = read_off(path)
-    path.write_text(OFF_TETRA_SURFACE.replace(
-        "OFF\n# a regular-ish tetrahedron surface\n4 4 6\n", "OFF 4 4 6\n"))
-    back = read_off(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.cells, mesh.cells)
-
-
-@pytest.mark.parametrize("text, line, what", [
-    ("OFF\n3 1 0\n0 0\n0\n1 0 0\n0 1 0\n3 0 1 2\n", 3, "vertex"),
-    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 255 0 0\n", 6, "face"),
-    ("OFF\n3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 2, "counts"),
-], ids=["wrapped_vertex", "face_colour", "two_counts"])
-def test_read_off_one_record_per_line(tmp_path, text, line, what):
-    path = tmp_path / "rec.off"
-    path.write_text(text)
-    with pytest.raises(MeshIOError, match=rf"rec\.off:{line}: {what} row"):
-        read_off(path)
 
 
 @pytest.mark.parametrize("prefix, value", [

@@ -24,7 +24,7 @@ PUBLIC = {
     "fem": ["assemble_mass", "assemble_stiffness", "interpolate", "m_inner",
             "m_norm"],
     "isolation": ["IsolationError", "IsolationResult", "IsolationStatus",
-                  "isolate_mode", "pair_isolation", "verify_isolation"],
+                  "isolate_mode", "pair_isolation"],
     "kinetics": ["Jacobian2x2", "KineticsError", "KineticsModel",
                  "SteadyState", "critical_diffusion_ratio", "dispersion",
                  "gierer_meinhardt", "make_model", "schnakenberg", "thomas",
@@ -33,7 +33,7 @@ PUBLIC = {
              "dumbbell_map", "ellipse_map", "fish_map", "generate_ball",
              "generate_disk", "generate_icosphere", "generate_interval",
              "generate_rectangle", "generate_tube", "map_vertices"],
-    "meshio": ["MeshIOError", "read_off", "read_vtk", "write_vtk"],
+    "meshio": ["MeshIOError", "read_vtk", "write_vtk"],
     "pattern_metrics": ["MatchReport", "match_pattern"],
     "reference_spectra": ["AnalyticEigenvalue", "bessel_derivative_roots",
                           "rectangle_neumann", "sphere_bulk_spectrum",
@@ -58,10 +58,10 @@ ALL = [
     "gierer_meinhardt", "initial_condition", "interpolate", "isolate_mode",
     "isolation", "kinetics", "load_config", "m_inner", "m_norm", "make_model",
     "map_vertices", "match_pattern", "mesh", "meshio", "pair_isolation",
-    "pattern_metrics", "read_off", "read_vtk", "rectangle_neumann",
+    "pattern_metrics", "read_vtk", "rectangle_neumann",
     "reference_spectra", "schnakenberg", "simulate", "simulator",
     "smallest_eigenpairs", "solvers", "sphere_bulk_spectrum",
-    "sphere_surface_spectrum", "thomas", "verify_isolation",
+    "sphere_surface_spectrum", "thomas",
     "wavenumber_window", "write_vtk",
 ]
 
