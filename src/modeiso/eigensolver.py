@@ -28,7 +28,11 @@ gives (irreps of dimension <= 5), and above the multiplicity 2 of
 rectangles and tubes, so those meshes need no sweep.  A wider block
 takes fewer steps but solves more columns per converged pair: on the
 benchmark's five spectrum meshes, widths 6, 8 and 12 solve 888, 1 080
-and 1 488 columns in all.
+and 1 488 columns in all.  A narrower block is no faster either: with
+COLAMD-ordered factors a spectrum pass took 3.35, 3.39 and 3.35 s at
+widths 3, 4 and 5 against 3.45 s at 6, and with the RCM + minimum-degree
+factors of `SpdSolver` 3.42, 3.16 and 3.33 s at widths 4, 5 and 8
+against 2.94-2.98 s at 6.
 
 The basis is capped at n.  When the Krylov space is exhausted, or a
 block turns rank deficient, only its deficient directions are replaced

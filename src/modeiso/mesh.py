@@ -131,12 +131,12 @@ class Mesh:
 
 
 def _edge_table(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, np.ndarray]:
+                                             np.ndarray]:
     """Edges of a triangle mesh, numbered in order of first appearance.
 
     Returns the undirected edges as (min, max) rows, each cell's three edge
-    numbers for (t0, t1), (t1, t2), (t2, t0), the number of cells sharing
-    each edge, and the directed edges listed cell by cell.
+    numbers for (t0, t1), (t1, t2), (t2, t0), and the number of cells
+    sharing each edge.
     """
     directed = np.stack([cells, np.roll(cells, -1, axis=1)],
                         axis=-1).reshape(-1, 2)
@@ -148,8 +148,7 @@ def _edge_table(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     number = np.empty_like(order)
     number[order] = np.arange(order.size)
     edges = np.column_stack([lo[first[order]], hi[first[order]]])
-    return (edges, number[inverse.ravel()].reshape(-1, 3), counts[order],
-            directed)
+    return edges, number[inverse.ravel()].reshape(-1, 3), counts[order]
 
 
 def _audit_surface(cells: np.ndarray) -> None:
@@ -158,12 +157,13 @@ def _audit_surface(cells: np.ndarray) -> None:
     No directed edge may appear twice.  That also rejects an edge shared by
     three or more triangles: two of them always traverse it the same way.
     """
-    _, cell_edges, _, directed = _edge_table(cells)
-    # a directed edge is its edge number plus the direction it is walked in
-    walk = 2 * cell_edges.ravel() + (directed[:, 0] > directed[:, 1])
-    repeated = np.flatnonzero(np.bincount(walk)[walk] > 1)
-    if repeated.size:
-        key = tuple(int(v) for v in directed[repeated[0]])
+    # directed edge (a, b) as the key a*top + b, listed cell by cell
+    top = int(cells.max()) + 1
+    walk = (cells * top + np.roll(cells, -1, axis=1)).ravel()
+    ordered = np.sort(walk)
+    twice = ordered[1:][ordered[1:] == ordered[:-1]]
+    if twice.size:
+        key = divmod(int(walk[np.isin(walk, twice)][0]), top)
         raise MeshError(f"edge {key} traversed twice in same direction"
                         " (inconsistent orientation or non-manifold)")
 
@@ -173,7 +173,7 @@ def boundary_edges(mesh: Mesh) -> list[tuple[int, int]]:
     one cell, in order of first appearance."""
     if mesh.intrinsic_dim != 2:
         raise MeshError("boundary_edges requires a triangle mesh")
-    edges, _, counts, _ = _edge_table(mesh.cells)
+    edges, _, counts = _edge_table(mesh.cells)
     return [(int(a), int(b)) for a, b in edges[counts == 1]]
 
 
@@ -239,7 +239,7 @@ def _quadrisect_triangles(verts: np.ndarray,
 
     Midpoint vertices are appended in order of first edge appearance.
     """
-    edges, cell_edges, _, _ = _edge_table(cells)
+    edges, cell_edges, _ = _edge_table(cells)
     midpoints = (verts[edges[:, 0]] + verts[edges[:, 1]]) / 2.0
     t0, t1, t2 = cells.T
     a, b, c = (len(verts) + cell_edges).T
@@ -260,7 +260,7 @@ def generate_disk(radius: float, refinement: int) -> Mesh:
     cells = np.array([(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)])
     for _ in range(refinement):
         verts, cells = _quadrisect_triangles(verts, cells)
-        edges, _, counts, _ = _edge_table(cells)
+        edges, _, counts = _edge_table(cells)
         bnd = np.unique(edges[counts == 1])
         norms = np.linalg.norm(verts[bnd], axis=1)
         verts[bnd] *= (radius / norms)[:, None]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -87,11 +88,55 @@ def test_tube_open_has_two_boundary_loops():
 
 
 def test_surface_orientation_audit_rejects_flipped_triangle():
-    mesh = mi.generate_icosphere(0)
+    # cell 7 is (45, 46, 47); reversed, it walks (45, 47) as a neighbour does
+    mesh = mi.generate_icosphere(2)
     cells = mesh.cells.copy()
-    cells[0] = cells[0][::-1]
-    with pytest.raises(MeshError):
+    cells[7] = cells[7][::-1]
+    with pytest.raises(MeshError, match=re.escape(
+            "edge (45, 47) traversed twice in same direction"
+            " (inconsistent orientation or non-manifold)")):
         mi.Mesh(mesh.vertices, cells)
+
+
+def _first_repeated_directed_edge(cells):
+    walks = [(int(a), int(b)) for c in cells
+             for a, b in zip(c, np.roll(c, -1))]
+    counts = Counter(walks)
+    return next((e for e in walks if counts[e] > 1), None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(flips=st.lists(st.integers(0, 79), min_size=1, max_size=4))
+def test_audit_names_first_repeated_edge_in_cell_order(flips):
+    mesh = mi.generate_icosphere(1)
+    cells = mesh.cells.copy()
+    for c in flips:
+        cells[c] = cells[c][::-1]
+    expected = _first_repeated_directed_edge(cells)
+    if expected is None:   # every flip undone by a second one
+        mi.Mesh(mesh.vertices, cells)
+        return
+    with pytest.raises(MeshError, match=re.escape(f"edge {expected} ")):
+        mi.Mesh(mesh.vertices, cells)
+
+
+def test_closed_surface_with_a_third_triangle_on_an_edge_rejected():
+    mesh = mi.generate_icosphere(1)
+    a, b, _ = mesh.cells[0]
+    apex = mesh.vertices[[a, b]].mean(axis=0) * 1.5
+    vertices = np.vstack([mesh.vertices, apex])
+    for fin in ([a, b, len(mesh.vertices)], [b, a, len(mesh.vertices)]):
+        with pytest.raises(MeshError, match="traversed twice"):
+            mi.Mesh(vertices, np.vstack([mesh.cells, fin]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mi.generate_icosphere(3),
+    lambda: mi.generate_tube(4.0, 1.0, True, 2),
+    lambda: mi.generate_tube(3.0, 0.5, False, 2),
+], ids=["icosphere3", "closed_tube2", "open_tube2"])
+def test_valid_surfaces_pass_the_audit(build):
+    assert build().kind is MeshKind.SURFACE   # built, so audited
 
 
 def test_degenerate_cell_rejected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +76,46 @@ def test_spd_solver_residual_contract(seed, n):
     b = np.random.default_rng(seed + 1).standard_normal(n)
     x = SpdSolver(A, rtol=1e-9).solve(b)
     assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b) * (1 + 1e-12)
+
+
+def test_nonsymmetric_pattern_solves_to_rtol():
+    rng = np.random.default_rng(7)
+    n = 300
+    A = sp.random(n, n, density=0.02, random_state=rng, format="csr")
+    A = (A + sp.diags(np.abs(A).sum(axis=1).A1 + 1.0)).tocsr()
+    pattern = (A != 0).astype(int)
+    assert (pattern != pattern.T).nnz > 0
+    b = rng.standard_normal((n, 3))
+    x = SpdSolver(A, rtol=1e-12).solve(b)
+    assert np.all(np.linalg.norm(b - A @ x, axis=0)
+                  <= 1e-12 * np.linalg.norm(b, axis=0))
+
+
+def test_stacked_growth_matrix_solves_to_rtol():
+    # M2/tau + diag(A, d A) - gamma M2 J at the Schnakenberg steady state:
+    # the simulator's 2n x 2n growth matrix, nonsymmetric in its coupling
+    mesh = mi.generate_rectangle(1.0, 1.0, 12, 12)
+    M = mi.assemble_mass(mesh)
+    A = mi.assemble_stiffness(mesh)
+    model = mi.schnakenberg()
+    s = model.steady_state()
+    J = model.jacobian(s.u, s.v)
+    tau, d, gamma = 0.05, 20.0, 50.0
+    K = sp.bmat([[M / tau + A - gamma * J.f_u * M, -gamma * J.f_v * M],
+                 [-gamma * J.g_u * M, M / tau + d * A - gamma * J.g_v * M]],
+                format="csr")
+    assert abs(K - K.T).max() > 0.0
+    b = np.random.default_rng(8).standard_normal(K.shape[0])
+    x = SpdSolver(K, rtol=1e-11).solve(b)
+    assert np.linalg.norm(b - K @ x) <= 1e-11 * np.linalg.norm(b)
+    assert np.allclose(x, np.linalg.solve(K.toarray(), b), rtol=0.0,
+                       atol=1e-9 * np.abs(x).max())
+
+
+def test_ordering_cuts_fill_against_default_splu():
+    mesh = mi.generate_rectangle(1.0, 1.0, 60, 60)
+    A = (mi.assemble_mass(mesh) + mi.assemble_stiffness(mesh)).tocsr()
+    ours = SpdSolver(A)._factor
+    default = spla.splu(A.tocsc())
+    assert (ours.L.nnz + ours.U.nnz
+            <= 0.75 * (default.L.nnz + default.U.nnz))
