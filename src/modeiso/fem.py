@@ -2,10 +2,10 @@
 
 Mass and stiffness matrices use the exact element integrals for linear
 basis functions, so no quadrature rule is involved.  Both reuse the cell
-measures the mesh keeps; the barycentric gradients are solved from the
-edge vectors and Gram matrices of `mesh.simplex_geometry`.  For surface
-meshes the element gradients live in the triangle plane, which realizes
-the tangential gradient on the piecewise-affine surface.
+measures the mesh keeps.  No barycentric gradient is formed: the local
+stiffness is |T| P^T G^-1 P with P = [-1 | I], G the Gram matrix of the
+cell's edges and G^-1 = adj G / det G from `mesh.simplex_geometry`.  On
+surface meshes that is the tangential gradient in each triangle's plane.
 """
 
 from __future__ import annotations
@@ -16,15 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, simplex_geometry
-
-
-def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
-    """Per-cell barycentric gradients (in embedding coords)."""
-    edges, gram = simplex_geometry(mesh.vertices, mesh.cells)
-    # gradients of barycentric coordinates 1..d: rows of (G^-1 E)
-    grads_tail = np.linalg.solve(gram, edges)    # (nc, d, e)
-    grads0 = -grads_tail.sum(axis=1, keepdims=True)
-    return np.concatenate([grads0, grads_tail], axis=1)  # (nc, d+1, e)
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
@@ -47,12 +38,24 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return _scatter(mesh, local)
 
 
+def _local_stiffness(mesh: Mesh) -> np.ndarray:
+    """Per-cell stiffness |T| P^T G^-1 P, (nc, d+1, d+1), exactly symmetric:
+    G^-1 = adj G / det G is the Gram matrix of the gradients of lambda_1..d,
+    and P = [-1 | I] adds lambda_0 = 1 - lambda_1 - ... - lambda_d."""
+    det, adj = simplex_geometry(mesh.vertices, mesh.cells)
+    inv = adj * (mesh.cell_measures() / det)     # |T| G^-1, (d, d, nc)
+    col = inv.sum(axis=0)                        # column sums, (d, nc)
+    npc = mesh.intrinsic_dim + 1
+    local = np.empty((mesh.n_cells, npc, npc))
+    local[:, 1:, 1:] = inv.transpose(2, 0, 1)
+    local[:, 0, 1:] = local[:, 1:, 0] = -col.T
+    local[:, 0, 0] = col.sum(axis=0)
+    return local
+
+
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """P1 stiffness matrix of the (tangential) Laplacian, Neumann kernel."""
-    measures = mesh.cell_measures()
-    grads = _barycentric_gradients(mesh)
-    local = measures[:, None, None] * (grads @ grads.transpose(0, 2, 1))
-    return _scatter(mesh, local)
+    return _scatter(mesh, _local_stiffness(mesh))
 
 
 def interpolate(fn, mesh: Mesh) -> np.ndarray:

@@ -4,8 +4,8 @@ Meshes are immutable: read-only vertex coordinates and simplex
 connectivity, plus the cell measures computed while validating.  They
 compare and hash by identity.
 The dimensions decide the kind: triangles in 3D are a surface and must be
-an oriented manifold.  `simplex_geometry` builds the per-cell edge vectors
-and Gram matrices for both the measures and `fem`'s gradients.
+an oriented manifold.  `simplex_geometry` gives each cell's Gram
+determinant and adjugate, for the measures and `fem`'s stiffness alike.
 Deformations map the whole `(n, e)` vertex array and are named by preset;
 `dumbbell` and `fish` take 3D vertices only.
 """
@@ -37,16 +37,31 @@ class MeshKind(enum.Enum):
 
 def simplex_geometry(vertices: np.ndarray,
                      cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's edge vectors from its first vertex, (nc, d, e), and
-    their Gram matrices, (nc, d, d), for any embedding dim."""
-    coords = vertices[cells]  # (nc, d+1, e)
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    return edges, edges @ edges.transpose(0, 2, 1)
+    """Each cell's Gram determinant, (nc,), and Gram adjugate, (d, d, nc),
+    for intrinsic dim d <= 3 in any embedding dim.  G holds the dot products
+    of the edges from the cell's first vertex, summed coordinate by
+    coordinate; adj G = det G * G^-1 is written out from them, exactly
+    symmetric, with no LAPACK call."""
+    ends = np.ascontiguousarray(cells.T)
+    d = len(ends) - 1
+    edges = np.array([x[ends[1:]] - x[ends[0]] for x in vertices.T])
+    gram = np.empty((d, d, ends.shape[1]))
+    for i in range(d):
+        for j in range(i, d):
+            gram[i, j] = gram[j, i] = (edges[:, i] * edges[:, j]).sum(axis=0)
+    if d == 1:
+        adj = np.ones_like(gram)
+    elif d == 2:
+        adj = gram[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
+    else:   # cofactors, with rows and columns taken cyclically
+        p, q = [1, 2, 0], [2, 0, 1]
+        adj = (gram[p][:, p] * gram[q][:, q] - gram[p][:, q] * gram[q][:, p])
+    return (gram[0] * adj[:, 0]).sum(axis=0), adj
 
 
 def simplex_measures(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Length/area/volume of each simplex, valid for any embedding dim."""
-    det = np.linalg.det(simplex_geometry(vertices, cells)[1])
+    det = simplex_geometry(vertices, cells)[0]
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(cells.shape[1] - 1)
 
 

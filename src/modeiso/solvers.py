@@ -40,17 +40,18 @@ class SpdSolver:
 
     Factors the matrix once with a sparse LU, symmetrically permuted by
     reverse Cuthill-McKee and column ordered by minimum degree on A^T + A;
-    every solve is residual checked against `rtol` on the unpermuted A.
+    every solve is residual checked against `rtol` on the permuted A.
     """
 
     def __init__(self, A: sp.spmatrix, rtol: float = 1e-10):
         self.A = A.tocsr()
         self.rtol = rtol
         self._perm = reverse_cuthill_mckee(self.A, symmetric_mode=False)
+        self._unperm = np.argsort(self._perm)
+        self._Ap = self.A[self._perm][:, self._perm]
         try:
-            self._factor = spla.splu(
-                self.A[self._perm][:, self._perm].tocsc(),
-                permc_spec="MMD_AT_PLUS_A")
+            self._factor = spla.splu(self._Ap.tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise LinearSolveError(f"factorization failed: {exc}")
 
@@ -60,16 +61,16 @@ class SpdSolver:
         A zero column of b gives a zero column of x; every other column
         must reach a relative residual of `rtol`.
         """
-        bnorm = np.linalg.norm(b, axis=0)
-        y = self._factor.solve(b[self._perm])
-        x = np.empty_like(y)
-        x[self._perm] = y
-        x = np.where(bnorm > 0.0, x, 0.0)
-        res = (np.linalg.norm(b - self.A @ x, axis=0)
+        bp = b[self._perm]
+        bnorm = np.linalg.norm(bp, axis=0)
+        y = self._factor.solve(bp)
+        if not np.all(bnorm > 0.0):
+            y = np.where(bnorm > 0.0, y, 0.0)
+        res = (np.linalg.norm(bp - self._Ap @ y, axis=0)
                / np.where(bnorm > 0.0, bnorm, 1.0))
         worst = np.max(res, initial=0.0)
         if not np.isfinite(worst) or worst > self.rtol:
             raise LinearSolveError(
                 f"direct solve residual {worst:.3e} exceeds {self.rtol:.3e}"
                 " (matrix singular or ill conditioned)")
-        return x
+        return y[self._unperm]

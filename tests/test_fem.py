@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modeiso as mi
-from modeiso.fem import interpolate, m_inner, m_norm
+from modeiso.fem import _local_stiffness, interpolate, m_inner, m_norm
+from modeiso.mesh import simplex_measures
 
 
 def test_interval_single_cell_matrices():
@@ -114,22 +115,104 @@ def _csr_sha256(*mats):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("build, sha", [
-    (lambda: mi.generate_interval(2.5, 7),
-     "717f186a1e70f7bb4f84addfea0d2c85a4b6798333018dc223c48f6755fe3cba"),
-    (lambda: mi.generate_rectangle(1.0, 1.0, 4, 4),
+PINNED_MESHES = {
+    "interval7": lambda: mi.generate_interval(2.5, 7),
+    "rectangle4x4": lambda: mi.generate_rectangle(1.0, 1.0, 4, 4),
+    "dumbbell_icosphere2": lambda: mi.map_vertices(mi.generate_icosphere(2),
+                                                   mi.dumbbell_map),
+    "closed_tube1": lambda: mi.generate_tube(3.0, 1.0, True, 1),
+    "ball0": lambda: mi.generate_ball(0),
+}
+
+
+@pytest.mark.parametrize("name, sha", [
+    ("interval7",
+     "af24e42dbf1fdf72aa428474b2822a6d71e980af3b007bb425a69e1baccc5b81"),
+    ("rectangle4x4",
      "dc1722d955de3a86ab1f120204224be4b105eba1ae9adbf01232b7791cf52ad7"),
-    (lambda: mi.map_vertices(mi.generate_icosphere(2), mi.dumbbell_map),
-     "f72b55f8439837d457d7b91b5237c33401eb8ad4bfe10144b069f5925b40400f"),
-    (lambda: mi.generate_tube(3.0, 1.0, True, 1),
-     "8fde9521cf1c6dfaedbf16762dec104bd7c56cef156ebe0ec2b63a016408b9ef"),
-    (lambda: mi.generate_ball(0),
-     "25d1dff0b2ac2d522f95bc9c66a8ecd0e04800178bb7d3d276ea5d4f6a1a27ac"),
-], ids=["interval7", "rectangle4x4", "dumbbell_icosphere2", "closed_tube1",
-        "ball0"])
-def test_assembled_matrices_are_pinned(build, sha):
+    ("dumbbell_icosphere2",
+     "6bdda981c5c912dd29c24f8262d0a99726c0c9d1905e4d8aa28e4ae531781c76"),
+    ("closed_tube1",
+     "45eb256768215db336c17bec233897a8f251e33d1a3fe85b67e962101f9f70c7"),
+    ("ball0",
+     "f316dccb9bc79f35c120c08b5cd2c74b3fe345a790fbbc3d6d0a993e2479e110"),
+], ids=list(PINNED_MESHES))
+def test_assembled_matrices_are_pinned(name, sha):
     # Pins the CSR arrays of M and A bit for bit: every eigenpair, isolation
     # walk and time step downstream is computed from them.
-    mesh = build()
+    mesh = PINNED_MESHES[name]()
     assert _csr_sha256(mi.assemble_mass(mesh),
                        mi.assemble_stiffness(mesh)) == sha
+
+
+def _batched_lapack_matrices(mesh):
+    """Dense M and A by the batched formulas: Gram determinants by
+    `np.linalg.det`, barycentric gradients by `np.linalg.solve`."""
+    d = mesh.intrinsic_dim
+    coords = mesh.vertices[mesh.cells]
+    edges = coords[:, 1:] - coords[:, :1]
+    gram = edges @ edges.transpose(0, 2, 1)
+    measures = np.sqrt(np.linalg.det(gram)) / math.factorial(d)
+    tail = np.linalg.solve(gram, edges)
+    grads = np.concatenate([-tail.sum(axis=1, keepdims=True), tail], axis=1)
+    base = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
+    where = (mesh.cells[:, :, None], mesh.cells[:, None, :])
+    dense = []
+    for local in (base[None], grads @ grads.transpose(0, 2, 1)):
+        mat = np.zeros((mesh.n_vertices, mesh.n_vertices))
+        np.add.at(mat, where, measures[:, None, None] * local)
+        dense.append(mat)
+    return dense
+
+
+def _arc(e):
+    t = np.linspace(0.0, 2.0, 9)
+    curve = [np.cos(t), np.sin(t), 0.3 * t][:e]
+    return mi.Mesh(np.column_stack(curve),
+                   np.column_stack([np.arange(8), np.arange(1, 9)]))
+
+
+@pytest.mark.parametrize("build", [*PINNED_MESHES.values(),
+                                   lambda: _arc(2), lambda: _arc(3)],
+                         ids=[*PINNED_MESHES, "arc_in_2d", "helix_in_3d"])
+def test_matrices_match_batched_lapack_formulas(build):
+    mesh = build()
+    for mat, ref in zip((mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)),
+                        _batched_lapack_matrices(mesh)):
+        scale = np.abs(ref).max()
+        assert np.abs(mat.toarray() - ref).max() <= 1e-12 * scale
+
+
+DIMENSION_PAIRS = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.sampled_from(DIMENSION_PAIRS),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-3.0, 3.0))
+def test_simplex_kernels_on_random_well_shaped_cells(dims, seed, log_scale):
+    # four disjoint cells, each the corner simplex {0, e_1, .., e_d} with
+    # every coordinate moved by at most 0.1, turned into the embedding by a
+    # random orthonormal frame, scaled and shifted
+    d, e = dims
+    rng = np.random.default_rng(seed)
+    corner = np.vstack([np.zeros(d), np.eye(d)])
+    blocks = []
+    for _ in range(4):
+        frame = np.linalg.qr(rng.standard_normal((e, d)))[0]
+        local = corner + rng.uniform(-0.1, 0.1, corner.shape)
+        blocks.append(local @ frame.T + rng.uniform(-5.0, 5.0, e))
+    verts = 10.0 ** log_scale * np.vstack(blocks)
+    cells = np.arange(4 * (d + 1)).reshape(4, d + 1)
+    mesh = mi.Mesh(verts, cells)
+
+    edges = verts[cells[:, 1:]] - verts[cells[:, :1]]
+    ref = (np.sqrt(np.linalg.det(edges @ edges.transpose(0, 2, 1)))
+           / math.factorial(d))
+    assert np.allclose(simplex_measures(verts, cells), ref,
+                       rtol=1e-12, atol=0.0)
+    local = _local_stiffness(mesh)
+    assert np.array_equal(local, local.transpose(0, 2, 1))
+    A = mi.assemble_stiffness(mesh)
+    assert np.abs(A @ np.ones(mesh.n_vertices)).max() \
+        <= 1e-12 * np.abs(A.data).max()

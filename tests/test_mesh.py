@@ -159,6 +159,30 @@ def test_overflowing_cell_is_named_alone():
         mi.Mesh(verts, cells)
 
 
+# two cells on a shared facet for the other (intrinsic, embedding) pairs;
+# the second cell's last vertex is the far one
+TWO_CELLS = {
+    (1, 1): ([[0.0], [1.0]], [[0, 1], [1, 2]]),
+    (1, 2): ([[0.0, 0.0], [1.0, 0.0]], [[0, 1], [1, 2]]),
+    (1, 3): ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0, 1], [1, 2]]),
+    (2, 3): ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+             [[0, 1, 2], [1, 3, 2]]),
+    (3, 3): ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+              [0.0, 0.0, 1.0]], [[0, 1, 2, 3], [1, 2, 3, 4]]),
+}
+
+
+@pytest.mark.parametrize("dims", list(TWO_CELLS),
+                         ids=[f"{d}in{e}" for d, e in TWO_CELLS])
+def test_overflowing_cell_is_named_alone_in_other_dimensions(dims):
+    near, cells = TWO_CELLS[dims]
+    for far, message in ((1e300, "cells with non-finite measure: [1]"),
+                         (1e150, "degenerate cells: [0]")):
+        verts = np.vstack([near, np.full(dims[1], far)])
+        with pytest.raises(MeshError, match=re.escape(message)):
+            mi.Mesh(verts, np.array(cells))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_vertex_rejected(bad):
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -185,6 +209,20 @@ def test_map_vertices_rejects_non_injective():
     with pytest.raises(MeshError, match="injective"):
         mi.map_vertices(mesh, lambda P: np.column_stack(
             [np.abs(P[:, 0] - 0.5), P[:, 1]]))
+
+
+@pytest.mark.xfail(strict=True, reason="the injectivity check compares "
+                   "lexsort neighbours only, and vertex 2 sorts between the "
+                   "coincident vertices 0 and 3")
+def test_map_vertices_rejects_near_coincident_vertices_sorted_apart():
+    mesh = mi.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                             [2.0, 0.0], [3.0, -1.0], [2.0, -1.0]]),
+                   np.array([[0, 1, 2], [3, 4, 5]]))
+    mapped = mesh.vertices.copy()
+    mapped[3] = [2e-13, 0.0]
+    mapped[4:] -= [2.0, 0.0]
+    with pytest.raises(MeshError, match="injective"):
+        mi.map_vertices(mesh, lambda P: mapped)
 
 
 def test_map_vertices_rejects_collapse():
