@@ -4,45 +4,110 @@ Mass and stiffness matrices use the exact element integrals for linear
 basis functions, so no quadrature rule is involved.  Both reuse the cell
 measures the mesh keeps.  No barycentric gradient is formed: the local
 stiffness is |T| P^T G^-1 P with P = [-1 | I], G the Gram matrix of the
-cell's edges and G^-1 = adj G / det G from `mesh.simplex_geometry`.  On
-surface meshes that is the tangential gradient in each triangle's plane.
+cell's edges and G^-1 = adj G / det G from the Gram determinant and
+adjugate the mesh kept from its validation.  On surface meshes that is
+the tangential gradient in each triangle's plane.
+
+Both matrices scatter into one CSR pattern per mesh, built once and kept
+for the last mesh assembled: each cell's vertex pairs sorted once into
+unique edges, and the data slots of every edge, its mirror and the
+diagonal.  A matrix is then two `np.bincount` sums in cell order, one
+over edges and one over vertices; each edge sum fills both of its slots,
+so the matrix is exactly symmetric by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, simplex_geometry
+from .mesh import Mesh
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    npc = mesh.intrinsic_dim + 1
-    rows = np.repeat(mesh.cells, npc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, npc)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
-    # element matrices are symmetric; enforce exact symmetry of the sum
-    return ((mat + mat.T) * 0.5).tocsr()
+class _Pattern(NamedTuple):
+    """The CSR pattern of a mesh's P1 matrices: the diagonal and both
+    triangles of every edge, and where each data slot's value comes from."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    cell_edges: np.ndarray   # (nc, pairs): edge number of each vertex pair
+    source: np.ndarray       # (nnz,): each slot's index into the edge sums
+                             # followed by the vertex sums
+
+
+def _pairs(npc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local vertex pairs (a, b), a < b, in row-major order."""
+    return np.triu_indices(npc, 1)
+
+
+@functools.lru_cache(maxsize=1)   # M and A of the last mesh share it
+def _pattern(mesh: Mesh) -> _Pattern:
+    n = mesh.n_vertices
+    a, b = _pairs(mesh.intrinsic_dim + 1)
+    ends = mesh.cells[:, a], mesh.cells[:, b]
+    keys = np.minimum(*ends) * n + np.maximum(*ends)
+    edges, cell_edges = np.unique(keys, return_inverse=True)
+    lo, hi = np.divmod(edges, n)             # sorted by (lo, hi)
+    n_lower = np.bincount(hi, minlength=n)   # row i: (i, lo) with hi = i
+    n_upper = np.bincount(lo, minlength=n)   # row i: (i, hi) with lo = i
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_lower + 1 + n_upper, out=indptr[1:])
+    # a row holds its lower entries, its diagonal, then its upper entries,
+    # each side ordered by column; an edge's slot is its side's first slot
+    # in the row plus its rank among the edges before it in sorted order
+    first = indptr[:-1]
+    diagonal = first + n_lower
+    rank = np.arange(len(edges))
+    upper = rank + (diagonal + 1 - (np.cumsum(n_upper) - n_upper))[lo]
+    by_hi = np.argsort(hi, kind="stable")    # (hi, lo) order
+    lower = np.empty_like(upper)
+    lower[by_hi] = rank + (first - (np.cumsum(n_lower) - n_lower))[hi[by_hi]]
+    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(indptr[-1], dtype=index)
+    indices[upper], indices[lower], indices[diagonal] = hi, lo, np.arange(n)
+    source = np.empty(indptr[-1], dtype=np.intp)
+    source[upper] = source[lower] = rank
+    source[diagonal] = len(edges) + np.arange(n)
+    return _Pattern(indptr.astype(index), indices,
+                    cell_edges.reshape(mesh.n_cells, -1), source)
+
+
+def _assemble(mesh: Mesh, diagonal: np.ndarray,
+              pairs: np.ndarray) -> sp.csr_matrix:
+    """Sum symmetric element matrices, given by their diagonals (nc, d+1)
+    and their pair entries (nc, pairs) in `_pairs` order, in cell order.
+    Each edge sum fills both of its slots, so the matrix is exactly
+    symmetric; exact zeros are not stored."""
+    pattern = _pattern(mesh)
+    edge_sums = np.bincount(pattern.cell_edges.ravel(), pairs.ravel())
+    vertex_sums = np.bincount(mesh.cells.ravel(), diagonal.ravel())
+    data = np.concatenate([edge_sums, vertex_sums])[pattern.source]
+    mat = sp.csr_matrix((data, pattern.indices.copy(),
+                         pattern.indptr.copy()),
+                        shape=(mesh.n_vertices, mesh.n_vertices))
+    mat.eliminate_zeros()
+    return mat
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix; entries sum to the domain measure."""
+    """Consistent P1 mass matrix; entries sum to the domain measure.
+    Local entries are |T| (1 + delta_ij) / ((d + 1)(d + 2))."""
     d = mesh.intrinsic_dim
-    npc = d + 1
-    measures = mesh.cell_measures()
-    base = (np.ones((npc, npc)) + np.eye(npc)) / ((d + 1) * (d + 2))
-    local = measures[:, None, None] * base[None, :, :]
-    return _scatter(mesh, local)
+    measures = mesh.cell_measures()[:, None]
+    scale = (d + 1) * (d + 2)
+    pairs = len(_pairs(d + 1)[0])
+    return _assemble(mesh, np.repeat(measures * (2.0 / scale), d + 1, axis=1),
+                     np.repeat(measures * (1.0 / scale), pairs, axis=1))
 
 
 def _local_stiffness(mesh: Mesh) -> np.ndarray:
     """Per-cell stiffness |T| P^T G^-1 P, (nc, d+1, d+1), exactly symmetric:
     G^-1 = adj G / det G is the Gram matrix of the gradients of lambda_1..d,
     and P = [-1 | I] adds lambda_0 = 1 - lambda_1 - ... - lambda_d."""
-    det, adj = simplex_geometry(mesh.vertices, mesh.cells)
+    det, adj = mesh._gram
     inv = adj * (mesh.cell_measures() / det)     # |T| G^-1, (d, d, nc)
     col = inv.sum(axis=0)                        # column sums, (d, nc)
     npc = mesh.intrinsic_dim + 1
@@ -55,7 +120,10 @@ def _local_stiffness(mesh: Mesh) -> np.ndarray:
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """P1 stiffness matrix of the (tangential) Laplacian, Neumann kernel."""
-    return _scatter(mesh, _local_stiffness(mesh))
+    local = _local_stiffness(mesh)
+    a, b = _pairs(mesh.intrinsic_dim + 1)
+    return _assemble(mesh, np.diagonal(local, axis1=1, axis2=2),
+                     local[:, a, b])
 
 
 def interpolate(fn, mesh: Mesh) -> np.ndarray:

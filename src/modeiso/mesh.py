@@ -1,11 +1,13 @@
 """Simplicial mesh generation, deformation and validation.
 
 Meshes are immutable: read-only vertex coordinates and simplex
-connectivity, plus the cell measures computed while validating.  They
-compare and hash by identity.
+connectivity, plus what validation computed: the cell measures and each
+cell's Gram determinant and adjugate from `simplex_geometry`, which runs
+once per mesh and serves the measures and `fem`'s stiffness alike.  They
+compare and hash by identity.  Every vertex belongs to some cell.
 The dimensions decide the kind: triangles in 3D are a surface and must be
-an oriented manifold.  `simplex_geometry` gives each cell's Gram
-determinant and adjugate, for the measures and `fem`'s stiffness alike.
+an oriented manifold.  The disk generator snaps each level's boundary
+vertices to the circle, read off the parent level's edge table.
 Deformations map the whole `(n, e)` vertex array and are named by preset;
 `dumbbell` and `fish` take 3D vertices only.
 """
@@ -59,10 +61,15 @@ def simplex_geometry(vertices: np.ndarray,
     return (gram[0] * adj[:, 0]).sum(axis=0), adj
 
 
+def _gram_measures(det: np.ndarray, d: int) -> np.ndarray:
+    """Length/area/volume sqrt(det G) / d! of simplices of intrinsic dim d."""
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(d)
+
+
 def simplex_measures(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Length/area/volume of each simplex, valid for any embedding dim."""
     det = simplex_geometry(vertices, cells)[0]
-    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(cells.shape[1] - 1)
+    return _gram_measures(det, cells.shape[1] - 1)
 
 
 @dataclass(frozen=True, eq=False)   # array fields have no `==`
@@ -70,6 +77,10 @@ class Mesh:
     vertices: np.ndarray  # (n_vertices, embedding_dim), float64, read-only
     cells: np.ndarray     # (n_cells, intrinsic_dim + 1), int, read-only
     _measures: np.ndarray = field(init=False, repr=False, compare=False)
+    # each cell's Gram determinant and adjugate, `simplex_geometry`'s
+    # output kept from validation for `fem`'s stiffness
+    _gram: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self) -> None:
         # own copies, so no caller can change the mesh under its measures
@@ -128,10 +139,15 @@ class Mesh:
             raise MeshError("cell index out of range")
         if self.n_cells == 0:
             raise MeshError("mesh has no cells")
+        stray = np.flatnonzero(np.bincount(self.cells.ravel(),
+                                           minlength=self.n_vertices) == 0)
+        if stray.size:   # each would be an empty row of M and A
+            raise MeshError(f"vertices in no cell: {stray.tolist()[:10]}")
         if not np.isfinite(self.vertices).all():
             raise MeshError("non-finite vertex coordinates")
         with np.errstate(over="ignore", invalid="ignore"):
-            measures = simplex_measures(self.vertices, self.cells)
+            det, adj = simplex_geometry(self.vertices, self.cells)
+            measures = _gram_measures(det, self.intrinsic_dim)
         huge = np.flatnonzero(~np.isfinite(measures))
         if huge.size:   # it would make every finite cell look degenerate
             raise MeshError(f"cells with non-finite measure: "
@@ -141,8 +157,10 @@ class Mesh:
             raise MeshError(f"degenerate cells: {bad.tolist()[:10]}")
         if self.kind is MeshKind.SURFACE:
             _audit_surface(self.cells)
-        measures.flags.writeable = False
+        for array in (measures, det, adj):
+            array.flags.writeable = False
         object.__setattr__(self, "_measures", measures)
+        object.__setattr__(self, "_gram", (det, adj))
 
 
 def _edge_table(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -214,7 +232,7 @@ def euler_characteristic(mesh: Mesh) -> int:
     if mesh.intrinsic_dim != 2:
         raise MeshError("euler_characteristic implemented for triangle meshes")
     edges = _edge_table(mesh.cells)[0]
-    return int(np.unique(mesh.cells).size) - len(edges) + mesh.n_cells
+    return mesh.n_vertices - len(edges) + mesh.n_cells
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +266,25 @@ def generate_rectangle(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     return Mesh(verts, cells.reshape(-1, 3))
 
 
-def _quadrisect_triangles(verts: np.ndarray,
-                          cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quadrisect_triangles(verts: np.ndarray, cells: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split every triangle into four via edge midpoints.
 
     Midpoint vertices are appended in order of first edge appearance.
+    Also returns the boundary vertices of the split mesh, read off the
+    parent's edge table: the parent's boundary vertices, then the
+    midpoints of its boundary edges.
     """
-    edges, cell_edges, _ = _edge_table(cells)
+    edges, cell_edges, counts = _edge_table(cells)
     midpoints = (verts[edges[:, 0]] + verts[edges[:, 1]]) / 2.0
     t0, t1, t2 = cells.T
     a, b, c = (len(verts) + cell_edges).T
     new_cells = np.column_stack([t0, a, c, t1, b, a, t2, c, b, a, b, c])
-    return np.vstack([verts, midpoints]), new_cells.reshape(-1, 3)
+    on_boundary = counts == 1
+    boundary = np.concatenate([np.unique(edges[on_boundary]),
+                               len(verts) + np.flatnonzero(on_boundary)])
+    return (np.vstack([verts, midpoints]), new_cells.reshape(-1, 3),
+            boundary)
 
 
 def generate_disk(radius: float, refinement: int) -> Mesh:
@@ -274,9 +299,7 @@ def generate_disk(radius: float, refinement: int) -> Mesh:
     verts *= radius
     cells = np.array([(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)])
     for _ in range(refinement):
-        verts, cells = _quadrisect_triangles(verts, cells)
-        edges, _, counts = _edge_table(cells)
-        bnd = np.unique(edges[counts == 1])
+        verts, cells, bnd = _quadrisect_triangles(verts, cells)
         norms = np.linalg.norm(verts[bnd], axis=1)
         verts[bnd] *= (radius / norms)[:, None]
     return Mesh(verts, cells)
@@ -305,7 +328,7 @@ def generate_icosphere(refinement: int) -> Mesh:
     verts = _ICOSA_VERTS / np.linalg.norm(_ICOSA_VERTS, axis=1)[:, None]
     cells = _ICOSA_FACES.copy()
     for _ in range(refinement):
-        verts, cells = _quadrisect_triangles(verts, cells)
+        verts, cells, _ = _quadrisect_triangles(verts, cells)
         verts /= np.linalg.norm(verts, axis=1)[:, None]
     return Mesh(verts, cells)
 

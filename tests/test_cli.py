@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -144,6 +145,22 @@ def test_off_file_as_mesh_path_is_config_error(tmp_path, capsys):
     assert main(["mesh", "--config", str(path)]) == 2
     assert (f"config error: mesh.path: {off}: byte 0: expected "
             "'# vtk DataFile'") in capsys.readouterr().err
+
+
+def test_mesh_file_with_a_stray_point_is_config_error(tmp_path, capsys):
+    # a rectangle plus one point no cell uses, written as `write_vtk` would
+    # write such a mesh
+    rect = mi.generate_rectangle(1.0, 1.0, 2, 2)
+    stray = types.SimpleNamespace(
+        vertices=np.vstack([rect.vertices, [[5.0, 5.0]]]), cells=rect.cells,
+        n_vertices=rect.n_vertices + 1, n_cells=rect.n_cells,
+        embedding_dim=2, intrinsic_dim=2)
+    vtk = tmp_path / "stray.vtk"
+    write_vtk(stray, {}, vtk)
+    path = write_config(tmp_path, mesh={"path": str(vtk)})
+    assert main(["mesh", "--config", str(path)]) == 2
+    assert (f"config error: mesh.path: {vtk}: vertices in no cell: [9]"
+            in capsys.readouterr().err)
 
 
 def test_uncreatable_output_directory_is_config_error(tmp_path, capsys):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modeiso as mi
+from modeiso import fem
+from modeiso import mesh as mesh_module
 from modeiso.fem import _local_stiffness, interpolate, m_inner, m_norm
 from modeiso.mesh import simplex_measures
 
@@ -44,9 +46,10 @@ def test_stiffness_kernel_contains_constants():
 
 
 def test_matrices_exactly_symmetric():
-    mesh = mi.generate_disk(1.0, 2)
-    for mat in (mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)):
-        assert (mat != mat.T).nnz == 0
+    for build in (lambda: mi.generate_disk(1.0, 2), *TEST_MESHES.values()):
+        mesh = build()
+        for mat in (mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)):
+            assert (mat != mat.T).nnz == 0
 
 
 def test_rayleigh_quotient_cos_pix():
@@ -131,11 +134,11 @@ PINNED_MESHES = {
     ("rectangle4x4",
      "dc1722d955de3a86ab1f120204224be4b105eba1ae9adbf01232b7791cf52ad7"),
     ("dumbbell_icosphere2",
-     "6bdda981c5c912dd29c24f8262d0a99726c0c9d1905e4d8aa28e4ae531781c76"),
+     "12fcc7370e15356f5673a61f5b64e3affe5073f63e25e4673ebf292070dec836"),
     ("closed_tube1",
-     "45eb256768215db336c17bec233897a8f251e33d1a3fe85b67e962101f9f70c7"),
+     "2da3c376d084dd2061c2b08a52c3698bdcd3e8c12d1bad1fef243a291443613a"),
     ("ball0",
-     "f316dccb9bc79f35c120c08b5cd2c74b3fe345a790fbbc3d6d0a993e2479e110"),
+     "7dad43037a6f4c532224b293194504933398f3e845423e42a8e5daea676a0420"),
 ], ids=list(PINNED_MESHES))
 def test_assembled_matrices_are_pinned(name, sha):
     # Pins the CSR arrays of M and A bit for bit: every eigenpair, isolation
@@ -172,15 +175,73 @@ def _arc(e):
                    np.column_stack([np.arange(8), np.arange(1, 9)]))
 
 
-@pytest.mark.parametrize("build", [*PINNED_MESHES.values(),
-                                   lambda: _arc(2), lambda: _arc(3)],
-                         ids=[*PINNED_MESHES, "arc_in_2d", "helix_in_3d"])
+TEST_MESHES = {**PINNED_MESHES, "arc_in_2d": lambda: _arc(2),
+               "helix_in_3d": lambda: _arc(3)}
+
+
+@pytest.mark.parametrize("build", TEST_MESHES.values(), ids=list(TEST_MESHES))
 def test_matrices_match_batched_lapack_formulas(build):
     mesh = build()
     for mat, ref in zip((mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)),
                         _batched_lapack_matrices(mesh)):
         scale = np.abs(ref).max()
         assert np.abs(mat.toarray() - ref).max() <= 1e-12 * scale
+
+
+def _flipped_diagonals(rect):
+    """The same grid with the other diagonal of every square."""
+    v00, v10, v11, _, _, v01 = rect.cells.reshape(-1, 6).T
+    cells = np.stack([v00, v10, v01, v10, v11, v01], axis=-1)
+    return mi.Mesh(rect.vertices, cells.reshape(-1, 3))
+
+
+def test_pattern_serves_only_the_mesh_it_was_built_from():
+    # same vertex count, different edges: a pattern kept for one of them
+    # must not be used for the other
+    rect = mi.generate_rectangle(1.0, 1.0, 4, 4)
+    meshes = {"rect": rect, "flipped": _flipped_diagonals(rect)}
+    alone = {}
+    for name, mesh in meshes.items():
+        fem._pattern.cache_clear()
+        alone[name] = _csr_sha256(mi.assemble_mass(mesh),
+                                  mi.assemble_stiffness(mesh))
+    assert alone["rect"] != alone["flipped"]
+    dense = {name: _batched_lapack_matrices(mesh)
+             for name, mesh in meshes.items()}
+    for order in (["rect", "flipped"], ["flipped", "rect"]):
+        fem._pattern.cache_clear()
+        mats = {name: [] for name in order}
+        for k, assemble in enumerate((mi.assemble_mass,
+                                      mi.assemble_stiffness)):
+            for name in order:
+                mat = assemble(meshes[name])
+                ref = dense[name][k]
+                assert np.abs(mat.toarray() - ref).max() \
+                    <= 1e-12 * np.abs(ref).max()
+                mats[name].append(mat)
+        assert {name: _csr_sha256(*m) for name, m in mats.items()} == alone
+
+
+@pytest.mark.parametrize("name", ["rectangle4x4", "closed_tube1"])
+def test_stiffness_stores_no_exact_zeros(name):
+    # right angles opposite an edge give exact zeros, which stay out of
+    # the stored pattern
+    mesh = PINNED_MESHES[name]()
+    A = mi.assemble_stiffness(mesh)
+    assert A.nnz == np.count_nonzero(A.data)
+    assert A.nnz < mi.assemble_mass(mesh).nnz
+
+
+def test_gram_data_is_computed_once_per_mesh(monkeypatch):
+    calls = []
+    original = mesh_module.simplex_geometry
+    monkeypatch.setattr(mesh_module, "simplex_geometry",
+                        lambda *args: calls.append(1) or original(*args))
+    mesh = mi.generate_tube(3.0, 1.0, True, 1)
+    assert len(calls) == 1
+    mi.assemble_mass(mesh)
+    mi.assemble_stiffness(mesh)
+    assert len(calls) == 1
 
 
 DIMENSION_PAIRS = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]

@@ -197,6 +197,16 @@ def test_index_out_of_range_rejected():
         mi.Mesh(verts, np.array([[0, 1, 3]]))
 
 
+def test_vertex_in_no_cell_rejected():
+    # a stray vertex gives M and A an empty row, and every factorization
+    # of them is singular
+    rect = mi.generate_rectangle(1.0, 1.0, 2, 2)
+    verts = np.vstack([rect.vertices[:4], [[5.0, 5.0]], rect.vertices[4:]])
+    cells = np.where(rect.cells >= 4, rect.cells + 1, rect.cells)
+    with pytest.raises(MeshError, match=re.escape("vertices in no cell: [4]")):
+        mi.Mesh(verts, cells)
+
+
 def test_map_vertices_preserves_connectivity():
     mesh = mi.generate_disk(1.0, 2)
     mapped = mi.map_vertices(mesh, mi.ellipse_map)
@@ -361,9 +371,34 @@ def _sha256(array, dtype):
     (lambda: mi.generate_ball(0),
      "ff976b807dd174a137b2680c67e724dac2dfd346e118b633d857ab26f1e7c898",
      "1a784b9b861bdb838fdaa4c7ff26d3fdf1853462b8f36f900330b6ebc8685024"),
+    (lambda: mi.generate_icosphere(4),
+     "9da72ac7edd8ad607f1ab0e8ebf0a6b04edbdf1b15353fe3e07fba24ae0e3118",
+     "1d19353ebb1a280dd705a884e8db6ef144348417dd5324e62326249995dddb35"),
+    (lambda: mi.generate_disk(1.0, 0),
+     "b1fc1f3c9fb31648e89802b496260f717b39e094e9ccd1d4318caec5ebc3bbbe",
+     "798df5934a425a91f26de351463155c4ee5aff6fc659fe621e7c8a797215d21f"),
+    (lambda: mi.generate_disk(1.0, 1),
+     "c74be9a05cb3118e2e901f4aa2d3b7c0f79b28117fce68e701647db36556bcec",
+     "35c0551718919cfa80fbc2002da91fa16fca9d5181417a6a2d0394d837d474cb"),
+    (lambda: mi.generate_disk(1.0, 2),
+     "7ef479daaf9e907b52d0ba82f7a78b3ab2ea0ebde5695823ddcdc502e674185f",
+     "ff19270dcba88e6d46e7069ff50b9c029477c99b933bdfb24168c477351c0477"),
+    (lambda: mi.generate_disk(1.0, 4),
+     "dccd95a50e10735b0e30ba1bfbe1da7523852b4bc5ddf7fce5559b73fd07c4fa",
+     "987c520cf91bbce2448963bdd23437ecc53d832c4292a010f1341b5d41549e3d"),
+    (lambda: mi.generate_disk(1.0, 5),
+     "fefa26ef5490e50053956bd9fe14971771523d7a68b5d32f416e377d52eaff89",
+     "d485b6a84026569fb54187088694caf8f477ec3bdb171a108ad91e4ba95a51f9"),
+    (lambda: mi.generate_disk(1.0, 6),
+     "8ae418c2d309e891cb2ce6e6feec59770de3499306681dccbd4cd3cba1a8e470",
+     "85c83c1ade2fb89305a3c353a09ee1ec1be694d5da6bdf744a28afeda0cc0373"),
+    (lambda: mi.generate_disk(1.0, 7),
+     "39dbc0d6b795a1a9420e2769ca44b65939b75a97c9101a92855c6c731f0b0de1",
+     "cb9ac443fddecc95ee81fa3aed4c1646ee2fcc2edfbe3c20a7be8fdee4491fa7"),
 ], ids=["icosphere3", "disk3", "open_tube2", "dumbbell_icosphere2",
         "dumbbell_icosphere3", "fish_icosphere2", "ellipse_disk3",
-        "closed_tube2", "rectangle3x2", "ball0"])
+        "closed_tube2", "rectangle3x2", "ball0", "icosphere4", "disk0",
+        "disk1", "disk2", "disk4", "disk5", "disk6", "disk7"])
 def test_generated_numbering_is_pinned(build, vertices_sha, cells_sha):
     # Pins vertex numbering and coordinates bit for bit: eigenvector files
     # and VTK snapshots are indexed by vertex, so any reordering shows here.
