@@ -13,7 +13,8 @@ d_c/EPS_FLOOR_DIVISOR, stopping at the first rung whose interval
 isolates the target.
 
 Every function takes the eigenvalues as a plain sorted array, such as
-`Spectrum.eigenvalues`.
+`Spectrum.eigenvalues`.  A window that ends above the largest of them
+may excite modes that were not computed, so no result is given for it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ def _inside(values: np.ndarray, window: tuple[float, float]) -> list[int]:
     return [int(i) for i in np.nonzero((values > lo) & (values < hi))[0]]
 
 
+def _certify(values: np.ndarray, window: tuple[float, float]) -> None:
+    if window[1] > values[-1]:
+        raise IsolationError(
+            f"the window ({window[0]:.6g}, {window[1]:.6g}) reaches past the "
+            f"largest of {len(values)} eigenvalues, {values[-1]:.6g}, so "
+            "uncomputed modes may be excited; raise eigensolver.count")
+
+
 def _status(excited) -> IsolationStatus:
     """UNIQUE for one excited index, CLUSTERED for several, FAILED for none."""
     return (IsolationStatus.UNIQUE if len(excited) == 1
@@ -80,6 +89,7 @@ def pair_isolation(values: np.ndarray, J: Jacobian2x2, d: float,
     """The isolation result of a given (d, gamma): the eigenvalues
     strictly inside its window are the excited ones."""
     window = wavenumber_window(J, d, gamma)
+    _certify(values, window)
     excited = _inside(values, window)
     return IsolationResult(_status(excited), d, gamma, window,
                            tuple(excited), critical_diffusion_ratio(J))
@@ -130,6 +140,7 @@ def isolate_mode(values: np.ndarray, target_index: int,
         excited = _inside(values, window)
         isolated = target_index in excited and in_cluster[excited].all()
         if isolated or eps <= eps_floor:
+            _certify(values, window)
             status = _status(excited) if isolated \
                 else IsolationStatus.CLUSTERED
             return IsolationResult(status, d, gamma, window, tuple(excited),

@@ -100,8 +100,9 @@ def gierer_meinhardt(a: float = 0.1, b: float = 1.0,
                            f_v=-u * u / (v * v * denom),
                            g_u=2.0 * u, g_v=-1.0)
 
-    def steady_state():
-        return _newton_2d(f, g, jacobian, 1.0, 1.0)
+    def steady_state():     # g = 0 is v = u^2: solve f(u, u^2) = 0
+        return _reduced_newton(f, jacobian, lambda u: (u, u * u, 1.0, 2.0 * u),
+                               1.0)
 
     return KineticsModel("gierer_meinhardt", {"a": a, "b": b, "k": k}, f, g,
                          jacobian, steady_state)
@@ -128,31 +129,10 @@ def thomas(a: float = 150.0, b: float = 100.0, K: float = 0.05,
         return Jacobian2x2(f_u=-1.0 - h_u, f_v=-h_v,
                            g_u=-h_u, g_v=-alpha - h_v)
 
-    def u_of_v(v: float) -> float:
-        # f - g eliminates the shared inhibition term
-        return a - alpha * b + alpha * v
-
-    def steady_state():
-        """Newton on f(u(v), v) = 0, a scalar equation in v."""
-        v = b / 4.0
-        for _ in range(100):
-            u = u_of_v(v)
-            fu = f(u, v)
-            if abs(fu) / max(1.0, abs(u)) < STEADY_STATE_TOL:
-                return SteadyState(u, v)
-            J = jacobian(u, v)
-            slope = J.f_u * alpha + J.f_v
-            if slope == 0.0:
-                raise KineticsError("flat residual in Thomas Newton solve")
-            dv = -fu / slope
-            step = 1.0
-            for _ in range(40):
-                vn = v + step * dv
-                if vn > 0 and abs(f(u_of_v(vn), vn)) < abs(fu):
-                    break
-                step *= 0.5
-            v += step * dv
-        raise KineticsError("Thomas Newton failed to converge")
+    def steady_state():     # f = g is u = a - alpha b + alpha v
+        return _reduced_newton(
+            f, jacobian, lambda v: (a - alpha * b + alpha * v, v, alpha, 1.0),
+            b / 4.0)
 
     return KineticsModel("thomas",
                          {"a": a, "b": b, "K": K, "alpha": alpha, "rho": rho},
@@ -175,36 +155,31 @@ def make_model(name: str, **params: float) -> KineticsModel:
     return builder(**params)
 
 
-def _newton_2d(f: Callable, g: Callable, jacobian: Callable,
-               u0: float, v0: float) -> SteadyState:
-    """Damped Newton on (f, g) = 0."""
-
-    def residual(u: float, v: float) -> float:
-        return max(abs(f(u, v)), abs(g(u, v))) / max(1.0, abs(u))
-
-    u, v = u0, v0
+def _reduced_newton(f: Callable, jacobian: Callable, curve: Callable,
+                    x: float) -> SteadyState:
+    """Damped Newton on f(u(x), v(x)) = 0 in one unknown x > 0, where
+    `curve(x)` is (u, v, du/dx, dv/dx) on a curve along which the rest of
+    the steady-state system holds exactly.  Stops once
+    |f| / max(1, |u|) < STEADY_STATE_TOL."""
     for _ in range(100):
-        res = residual(u, v)
-        if res < STEADY_STATE_TOL:
+        u, v, du, dv = curve(x)
+        fx = f(u, v)
+        if abs(fx) / max(1.0, abs(u)) < STEADY_STATE_TOL:
             return SteadyState(u, v)
         J = jacobian(u, v)
-        det = J.det
-        if det == 0.0:
-            raise KineticsError("singular Jacobian in Newton iteration")
-        fu, gv = f(u, v), g(u, v)
-        du = -(J.g_v * fu - J.f_v * gv) / det
-        dv = -(-J.g_u * fu + J.f_u * gv) / det
+        slope = J.f_u * du + J.f_v * dv
+        if slope == 0.0:
+            raise KineticsError("flat residual in steady-state Newton solve")
+        dx = -fx / slope
         step = 1.0
         for _ in range(40):
-            un, vn = u + step * du, v + step * dv
-            if un > 0 and vn > 0 and residual(un, vn) < res:
+            xn = x + step * dx
+            if xn > 0 and abs(f(*curve(xn)[:2])) < abs(fx):
                 break
             step *= 0.5
-        u, v = u + step * du, v + step * dv
-    if residual(u, v) < STEADY_STATE_TOL:
-        return SteadyState(u, v)
-    raise KineticsError("Newton failed to converge in 100 iterations "
-                        f"(residual {residual(u, v):.3e})")
+        x += step * dx
+    raise KineticsError("steady-state Newton failed to converge in 100 "
+                        "iterations")
 
 
 def critical_diffusion_ratio(J: Jacobian2x2) -> float:

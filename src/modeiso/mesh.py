@@ -61,17 +61,6 @@ def simplex_geometry(vertices: np.ndarray,
     return (gram[0] * adj[:, 0]).sum(axis=0), adj
 
 
-def _gram_measures(det: np.ndarray, d: int) -> np.ndarray:
-    """Length/area/volume sqrt(det G) / d! of simplices of intrinsic dim d."""
-    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(d)
-
-
-def simplex_measures(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Length/area/volume of each simplex, valid for any embedding dim."""
-    det = simplex_geometry(vertices, cells)[0]
-    return _gram_measures(det, cells.shape[1] - 1)
-
-
 @dataclass(frozen=True, eq=False)   # array fields have no `==`
 class Mesh:
     vertices: np.ndarray  # (n_vertices, embedding_dim), float64, read-only
@@ -147,7 +136,9 @@ class Mesh:
             raise MeshError("non-finite vertex coordinates")
         with np.errstate(over="ignore", invalid="ignore"):
             det, adj = simplex_geometry(self.vertices, self.cells)
-            measures = _gram_measures(det, self.intrinsic_dim)
+            # length/area/volume sqrt(det G) / d!
+            measures = (np.sqrt(np.maximum(det, 0.0))
+                        / math.factorial(self.intrinsic_dim))
         huge = np.flatnonzero(~np.isfinite(measures))
         if huge.size:   # it would make every finite cell look degenerate
             raise MeshError(f"cells with non-finite measure: "
@@ -414,19 +405,33 @@ DUMBBELL_WIDTH = 0.45
 
 def map_vertices(mesh: Mesh, vertex_map: VertexMap) -> Mesh:
     """Apply a smooth injective coordinate map to the `(n, e)` vertex
-    array, keeping connectivity."""
-    mapped = np.asarray(vertex_map(mesh.vertices), dtype=float)
-    if mapped.shape != mesh.vertices.shape:
+    array, keeping connectivity.
+
+    Two images closer than COINCIDENCE_TOL in every coordinate are within
+    COINCIDENCE_TOL * sum(r) (plus rounding) in the key P @ r, r > 0, and
+    so is every key sorted between them: the sweep over sort offsets
+    k = 1, 2, ... meets the pair before no keys that close remain.
+    """
+    P = np.asarray(vertex_map(mesh.vertices), dtype=float)
+    if P.shape != mesh.vertices.shape:
         raise MeshError("vertex map must preserve the embedding dimension")
-    order = np.lexsort(mapped.T[::-1])
-    sorted_pts = mapped[order]
-    close = np.all(np.abs(np.diff(sorted_pts, axis=0)) < COINCIDENCE_TOL,
-                   axis=1)
-    if close.any():
-        i = int(np.nonzero(close)[0][0])
-        raise MeshError("vertex map is not injective: vertices "
-                        f"{int(order[i])} and {int(order[i + 1])} coincide")
-    return Mesh(mapped, mesh.cells)
+    r = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)])[: P.shape[1]]
+    key = P @ r
+    order = np.argsort(key, kind="stable")
+    key, pts = key[order], P[order]
+    # rounding moves a key gap by less than 1e-15 sum(r) max|P|
+    reach = r.sum() * (COINCIDENCE_TOL + 1e-15 * np.abs(P).max())
+    for k in range(1, len(key)):
+        near = np.flatnonzero(key[k:] - key[:-k] <= reach)
+        if not near.size:
+            break
+        close = near[np.all(np.abs(pts[near + k] - pts[near])
+                            < COINCIDENCE_TOL, axis=1)]
+        if close.size:
+            raise MeshError("vertex map is not injective: vertices "
+                            f"{int(order[close[0]])} and "
+                            f"{int(order[close[0] + k])} coincide")
+    return Mesh(P, mesh.cells)
 
 
 def _xyz(P: np.ndarray, preset: str) -> np.ndarray:

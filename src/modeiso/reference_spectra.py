@@ -10,6 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import spherical_jn
 
+SCAN_STEP = 0.05    # grid step of the sign-change scan for roots of j_l'
+ROOT_XTOL = 1e-10   # bisection stops once a bracket is this narrow
+
 
 @dataclass(frozen=True)
 class AnalyticEigenvalue:
@@ -51,28 +54,28 @@ def sphere_surface_spectrum(count: int) -> list[AnalyticEigenvalue]:
     return entries[:count]
 
 
-def _brackets(l: int, k_max: float, scan_step: float):
+def _brackets(l: int, k_max: float):
     """Scan j_l' on (0, k_max]: each grid point where it is exactly 0 and
     each sign change, as arrays (l, lo, hi, j_l'(lo))."""
     # start past the origin where j_l' ~ x^(l-1) has a known sign; the
-    # grid accumulates scan_step and is evaluated in one call
-    xs = [scan_step]
-    while xs[-1] + scan_step <= k_max + 1e-12:
-        xs.append(xs[-1] + scan_step)
+    # grid accumulates SCAN_STEP and is evaluated in one call
+    xs = [SCAN_STEP]
+    while xs[-1] + SCAN_STEP <= k_max + 1e-12:
+        xs.append(xs[-1] + SCAN_STEP)
     xs = np.array(xs)
     fs = spherical_jn(l, xs, derivative=True)
     keep = (fs[:-1] == 0.0) | (fs[:-1] * fs[1:] < 0)
     return np.full(keep.sum(), l), xs[:-1][keep], xs[1:][keep], fs[:-1][keep]
 
 
-def _bisect(brackets, xtol: float = 1e-10) -> list[list[float]]:
+def _bisect(brackets) -> list[list[float]]:
     """Roots of j_l' in the brackets of every degree, bisected together
     with one `spherical_jn` call per step; a bracket end or midpoint where
     j_l' is exactly 0 is its root.  One root list per `_brackets` entry."""
     l, lo, hi, flo = (np.concatenate(c) for c in zip(*brackets))
     root = np.where(flo == 0.0, lo, np.nan)
     while True:
-        idx = np.flatnonzero(np.isnan(root) & (hi - lo > xtol))
+        idx = np.flatnonzero(np.isnan(root) & (hi - lo > ROOT_XTOL))
         if not idx.size:
             break
         mid = 0.5 * (lo[idx] + hi[idx])
@@ -86,14 +89,13 @@ def _bisect(brackets, xtol: float = 1e-10) -> list[list[float]]:
     return [part.tolist() for part in np.split(root, ends)]
 
 
-def bessel_derivative_roots(l: int, k_max: float = 20.0,
-                            scan_step: float = 0.05) -> list[float]:
+def bessel_derivative_roots(l: int, k_max: float = 20.0) -> list[float]:
     """Positive roots of j_l'(x) on (0, k_max], by bracketing + bisection."""
-    return _bisect([_brackets(l, k_max, scan_step)])[0]
+    return _bisect([_brackets(l, k_max)])[0]
 
 
-def sphere_bulk_spectrum(count: int, k_max: float = 20.0,
-                         scan_step: float = 0.05) -> list[AnalyticEigenvalue]:
+def sphere_bulk_spectrum(count: int,
+                         k_max: float = 20.0) -> list[AnalyticEigenvalue]:
     """Neumann eigenvalues of the unit ball: lambda = k^2 with j_l'(k) = 0.
 
     Level l contributes multiplicity 2l+1; the constant mode is labelled
@@ -101,7 +103,7 @@ def sphere_bulk_spectrum(count: int, k_max: float = 20.0,
     """
     brackets = []
     for l in itertools.count():
-        degree = _brackets(l, k_max, scan_step)
+        degree = _brackets(l, k_max)
         if not degree[1].size and l > 0:
             break   # from l = 1 on, the first root of j_l' grows with l
         brackets.append(degree)

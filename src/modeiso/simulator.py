@@ -237,8 +237,8 @@ def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
     return PTC_MAX_STEPS, None
 
 
-def simulate(mesh: Mesh, config: SimulationConfig,
-             M: sp.spmatrix | None = None, A: sp.spmatrix | None = None,
+def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
+             A: sp.spmatrix,
              initial: tuple[np.ndarray, np.ndarray] | None = None
              ) -> SimulationOutcome:
     """Run to the inhomogeneous steady state or to max_time.
@@ -247,14 +247,9 @@ def simulate(mesh: Mesh, config: SimulationConfig,
     IMEX step from a growth state (once the stop counts, see the module
     docstring) or from a PTC state.  The last growth step is shortened to
     end at max_time.  The derivative history holds one entry per growth
-    step, plus the final PTC check.
+    step, plus the final PTC check.  M and A are the mesh's P1 mass and
+    stiffness matrices.
     """
-    from .fem import assemble_mass, assemble_stiffness
-
-    if M is None:
-        M = assemble_mass(mesh)
-    if A is None:
-        A = assemble_stiffness(mesh)
     if initial is None:
         state = config.model.steady_state()
         initial = initial_condition(mesh, state, config.amplitude,

@@ -15,13 +15,14 @@ import pytest
 
 import modeiso as mi
 from modeiso.eigensolver import dense_generalized_eig, smallest_eigenpairs
-from modeiso.isolation import IsolationStatus, isolate_mode, pair_isolation
+from modeiso.isolation import IsolationError, IsolationStatus, isolate_mode
 from modeiso.kinetics import (Jacobian2x2, SteadyState,
                               critical_diffusion_ratio, wavenumber_window)
 from modeiso.pattern_metrics import match_pattern
 from modeiso.reference_spectra import (bessel_derivative_roots,
                                        eigenvalue_array, rectangle_neumann,
-                                       sphere_bulk_spectrum)
+                                       sphere_bulk_spectrum,
+                                       sphere_surface_spectrum)
 from modeiso.simulator import SimulationConfig, SimulationStatus, simulate
 
 
@@ -185,22 +186,31 @@ def test_acceptance_6_isolation_soundness():
     J = _jacobian(mi.schnakenberg())
     d_c = critical_diffusion_ratio(J)
     rng = np.random.default_rng(23)
-    spectra = [eigenvalue_array(rectangle_neumann(1.0 + rng.random(),
-                                                  1.0 + rng.random(), 16))
-               for _ in range(6)]
-    spectra.append(eigenvalue_array(sphere_bulk_spectrum(20)))
-    from modeiso.reference_spectra import sphere_surface_spectrum
-    spectra.append(eigenvalue_array(sphere_surface_spectrum(20)))
-    ok = True
-    n_cases = 0
+    # each case isolates on a truncated spectrum, as an eigensolver
+    # returns one, and is checked against 60 analytic eigenvalues
+    sides = [(1.0 + rng.random(), 1.0 + rng.random()) for _ in range(6)]
+    spectra = [(rectangle_neumann(lx, ly, 16), rectangle_neumann(lx, ly, 60))
+               for lx, ly in sides]
+    spectra.append((sphere_bulk_spectrum(20), sphere_bulk_spectrum(60)))
+    spectra.append((sphere_surface_spectrum(20), sphere_surface_spectrum(60)))
+    spectra = [(eigenvalue_array(a), eigenvalue_array(b)) for a, b in spectra]
+    ok = all(np.array_equal(full[:len(vals)], vals) for vals, full in spectra)
+    n_cases = refused = 0
     while n_cases < 50:
-        vals = spectra[int(rng.integers(len(spectra)))]
+        vals, full = spectra[int(rng.integers(len(spectra)))]
         target = int(rng.integers(1, len(vals)))
-        result = isolate_mode(vals, target, J)
         n_cases += 1
+        try:
+            result = isolate_mode(vals, target, J)
+        except IsolationError:
+            refused += 1    # the window reaches past the computed spectrum
+            continue
+        lo, hi = result.window
+        ok &= hi <= full[-1]
+        truth = tuple(i for i, x in enumerate(full) if lo < x < hi)
+        ok &= result.excited_indices == truth and target in truth
         if result.status is IsolationStatus.UNIQUE:
-            ok &= pair_isolation(vals, J, result.d,
-                                 result.gamma).excited_indices == (target,)
+            ok &= truth == (target,)
         ok &= all(d > d_c for d, _, _ in result.trace)
 
     # published table reproduction: excited bulk wavenumber sets
@@ -231,8 +241,10 @@ def test_acceptance_6_isolation_soundness():
             ok &= excited(Jm, d, g) == [round(k, 5) for k in expected]
     elapsed = time.time() - start
     ok &= elapsed < 60.0
-    _verdict(6, ok, f"50 randomized isolations sound (UNIQUE verified, "
-                    f"all d > d_c); published excited-wavenumber sets "
+    _verdict(6, ok, f"50 randomized isolations sound ({n_cases - refused} "
+                    f"excited sets equal to the analytic ones, {refused} "
+                    f"refused as reaching past the computed spectrum, all "
+                    f"d > d_c); published excited-wavenumber sets "
                     f"reproduced (one documented extra root at 5.94037), "
                     f"in {elapsed:.1f}s")
 

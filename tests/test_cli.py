@@ -76,6 +76,16 @@ def test_isolate_subcommand(tmp_path):
     assert report["d"] > report["d_c"]
 
 
+def test_isolate_with_too_few_eigenvalues_fails(tmp_path, capsys):
+    # two eigenvalues hold only the first of the double pi^2: the window
+    # that excites it reaches past the computed spectrum
+    path = write_config(tmp_path, eigensolver={"count": 2})
+    assert main(["isolate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error [isolate]:" in err and "eigensolver.count" in err
+    assert not (tmp_path / "out" / "isolation.json").exists()
+
+
 def test_config_error_exit_code_and_no_outputs(tmp_path):
     # tau 0.05 is above MAX_STABLE_TAU: the pipeline must not run the
     # eigensolve and write isolation.json before rejecting it

@@ -10,7 +10,6 @@ import modeiso as mi
 from modeiso import fem
 from modeiso import mesh as mesh_module
 from modeiso.fem import _local_stiffness, interpolate, m_inner, m_norm
-from modeiso.mesh import simplex_measures
 
 
 def test_interval_single_cell_matrices():
@@ -270,7 +269,7 @@ def test_simplex_kernels_on_random_well_shaped_cells(dims, seed, log_scale):
     edges = verts[cells[:, 1:]] - verts[cells[:, :1]]
     ref = (np.sqrt(np.linalg.det(edges @ edges.transpose(0, 2, 1)))
            / math.factorial(d))
-    assert np.allclose(simplex_measures(verts, cells), ref,
+    assert np.allclose(mesh.cell_measures(), ref,
                        rtol=1e-12, atol=0.0)
     local = _local_stiffness(mesh)
     assert np.array_equal(local, local.transpose(0, 2, 1))

@@ -93,6 +93,22 @@ def test_rejects_non_turing_kinetics():
         isolate_mode(np.array([0.0, 1.0, 2.0]), 1, bad)
 
 
+def test_isolation_refuses_a_window_past_the_computed_spectrum(J):
+    # pi^2 is double, but only its first member was computed: the window
+    # that excites it alone among two eigenvalues also holds the second
+    vals = eigenvalue_array(rectangle_neumann(1.0, 1.0, 2))
+    with pytest.raises(IsolationError, match="eigensolver.count"):
+        isolate_mode(vals, 1, J)
+
+
+def test_pair_isolation_refuses_a_window_past_the_computed_spectrum(J):
+    # the window (10, 20) reaches past l(l+1) = 6 of the five eigenvalues
+    vals = eigenvalue_array(sphere_surface_spectrum(5))
+    assert mi.wavenumber_window(J, 10.0, 20.0)[1] > vals[-1]
+    with pytest.raises(IsolationError, match="eigensolver.count"):
+        pair_isolation(vals, J, 10.0, 20.0)
+
+
 def test_pair_isolation_excites_the_window_interior(J):
     vals = np.array([0.0, 4.0, 9.0, 25.0])
     excited = pair_isolation(vals, J, 10.0, 15.0).excited_indices

@@ -40,9 +40,9 @@ def test_steady_state_zeroes_kinetics(model):
 # iterations shows here.
 PINNED = {
     "schnakenberg": (1.0, 0.9, 0.8, 1.0, -1.8, -1.0),
-    "gierer_meinhardt": (0.8394568694999006, 0.704687835750573,
-                         0.3027386676271264, -1.0493396252722593,
-                         1.6789137389998012, -1.0),
+    "gierer_meinhardt": (0.8394568695002604, 0.7046878357511773,
+                         0.30273866762598556, -1.049339625271125,
+                         1.6789137390005209, -1.0),
     "thomas": (37.73821081675756, 25.158807211171705, 0.8995835147318647,
                -4.462126850286287, 1.8995835147318647, -5.962126850286287),
 }
@@ -53,6 +53,12 @@ def test_steady_state_and_jacobian_are_pinned(model):
     s = model.steady_state()
     J = model.jacobian(s.u, s.v)
     assert (s.u, s.v, J.f_u, J.f_v, J.g_u, J.g_v) == PINNED[model.name]
+
+
+def test_gierer_meinhardt_steady_state_solves_g_exactly():
+    # the Newton runs on the reduction v = u^2 of g = 0
+    s = mi.gierer_meinhardt().steady_state()
+    assert s.v == s.u * s.u
 
 
 def _fd_jacobian(model, u, v, h=1e-6):

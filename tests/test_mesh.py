@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import modeiso as mi
 from modeiso.mesh import (MeshError, MeshKind, boundary_edges,
-                          boundary_loop_count, euler_characteristic,
-                          simplex_measures)
+                          boundary_loop_count, euler_characteristic)
 
 
 def test_interval_basic():
@@ -221,9 +220,6 @@ def test_map_vertices_rejects_non_injective():
             [np.abs(P[:, 0] - 0.5), P[:, 1]]))
 
 
-@pytest.mark.xfail(strict=True, reason="the injectivity check compares "
-                   "lexsort neighbours only, and vertex 2 sorts between the "
-                   "coincident vertices 0 and 3")
 def test_map_vertices_rejects_near_coincident_vertices_sorted_apart():
     mesh = mi.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                              [2.0, 0.0], [3.0, -1.0], [2.0, -1.0]]),
@@ -233,6 +229,25 @@ def test_map_vertices_rejects_near_coincident_vertices_sorted_apart():
     mapped[4:] -= [2.0, 0.0]
     with pytest.raises(MeshError, match="injective"):
         mi.map_vertices(mesh, lambda P: mapped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]))
+def test_map_vertices_names_the_one_near_coincident_pair(seed, dim):
+    # distinct random images, then vertex j put within 1e-13 of vertex i
+    # in every coordinate
+    rng = np.random.default_rng(seed)
+    mesh = mi.generate_rectangle(1.0, 1.0, 3, 3)
+    if dim == 3:
+        mesh = mi.generate_icosphere(0)
+    codes = rng.choice(100 ** dim, mesh.n_vertices, replace=False)
+    images = np.column_stack(np.unravel_index(codes, (100,) * dim)) / 7.0
+    i, j = rng.choice(mesh.n_vertices, 2, replace=False)
+    images[j] = images[i] + rng.uniform(-1e-13, 1e-13, dim)
+    with pytest.raises(MeshError, match="injective") as info:
+        mi.map_vertices(mesh, lambda P: images)
+    named = {int(x) for x in re.findall(r"\d+", str(info.value))}
+    assert named == {int(i), int(j)}
 
 
 def test_map_vertices_rejects_collapse():
@@ -331,7 +346,7 @@ def test_boundary_edges_of_single_triangle():
 
 def test_simplex_measures_tetrahedron():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert simplex_measures(verts, np.array([[0, 1, 2, 3]]))[0] == \
+    assert mi.Mesh(verts, np.array([[0, 1, 2, 3]])).cell_measures()[0] == \
         pytest.approx(1.0 / 6.0)
 
 

@@ -27,6 +27,11 @@ def small_mesh():
     return mi.generate_rectangle(1.0, 1.0, 8, 8)
 
 
+@pytest.fixture(scope="module")
+def small_MA(small_mesh):
+    return mi.assemble_mass(small_mesh), mi.assemble_stiffness(small_mesh)
+
+
 def test_config_validation():
     model = mi.schnakenberg()
     with pytest.raises(ValueError, match="tau"):
@@ -115,44 +120,45 @@ def test_stepper_matches_dense_reference_loop():
     assert np.abs(v - v_ref).max() < 1e-8
 
 
-def test_steady_state_is_fixed_point(small_mesh):
+def test_steady_state_is_fixed_point(small_mesh, small_MA):
     model = mi.schnakenberg()
     state = model.steady_state()
     config = SimulationConfig(model=model, d=10.0, gamma=20.0, tau=1e-3,
                               stop_tol=1e-16, max_time=0.1, amplitude=0.0)
     n = small_mesh.n_vertices
-    out = simulate(small_mesh, config,
+    out = simulate(small_mesh, config, *small_MA,
                    initial=(np.full(n, state.u), np.full(n, state.v)))
     assert np.abs(out.u - state.u).max() < 1e-10
     assert np.abs(out.v - state.v).max() < 1e-10
 
 
-def test_stable_regime_returns_to_uniform(small_mesh):
+def test_stable_regime_returns_to_uniform(small_mesh, small_MA):
     model = mi.schnakenberg()
     state = model.steady_state()
     config = SimulationConfig(model=model, d=1.0, gamma=20.0, tau=1e-3,
                               stop_tol=1e-6, max_time=50.0, seed=2,
                               amplitude=0.01)
-    out = simulate(small_mesh, config)
+    out = simulate(small_mesh, config, *small_MA)
     assert out.status is SimulationStatus.CONVERGED
     assert out.ptc_steps == 0
     assert np.abs(out.u - state.u).max() < 1e-4
     assert np.abs(out.v - state.v).max() < 1e-4
 
 
-def test_history_holds_every_growth_step(small_mesh):
+def test_history_holds_every_growth_step(small_mesh, small_MA):
     # no kinetics: sigma_max = 0, so the growth step is tau
     config = SimulationConfig(model=ZERO_KINETICS, d=1.0, gamma=1.0,
                               tau=1e-3, stop_tol=1e-30, max_time=0.05,
                               amplitude=0.0)
     x = small_mesh.vertices[:, 0]
-    out = simulate(small_mesh, config, initial=(1.0 + x, 1.0 - x))
+    out = simulate(small_mesh, config, *small_MA,
+                   initial=(1.0 + x, 1.0 - x))
     assert out.status is SimulationStatus.MAX_TIME
     times = [t for t, _ in out.history]
     assert times == pytest.approx(1e-3 * np.arange(1, 51))
 
 
-def test_divergence_detected(small_mesh):
+def test_divergence_detected(small_mesh, small_MA):
     blowup = KineticsModel("blowup", {},
                            f=lambda u, v: 1e6 * u,
                            g=lambda u, v: 1e6 * v,
@@ -162,7 +168,8 @@ def test_divergence_detected(small_mesh):
     config = SimulationConfig(model=blowup, d=1.0, gamma=100.0, tau=1e-2,
                               stop_tol=1e-30, max_time=10.0, amplitude=0.0)
     n = small_mesh.n_vertices
-    out = simulate(small_mesh, config, initial=(np.ones(n), np.ones(n)))
+    out = simulate(small_mesh, config, *small_MA,
+                   initial=(np.ones(n), np.ones(n)))
     assert out.status is SimulationStatus.DIVERGED
 
 
@@ -352,7 +359,7 @@ def test_ptc_failure_falls_back_to_imex(growth, monkeypatch, failure):
     assert np.ptp(out.u) > 0.5
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 def test_small_pattern_converges_without_a_tenfold_rise():
     # The target mode 10 grows to a small pattern: the derivative norm
     # falls from the first step, so SwitchRule never arms and no stop
