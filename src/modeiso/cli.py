@@ -44,7 +44,7 @@ EXIT_MATCH = 3
 
 class StageError(RuntimeError):
     """A stage's input is missing or unusable: no saved state, one grown
-    on another mesh, or no (d, gamma) or excited set because the
+    on another mesh, or no excited set because an explicit pair's
     isolation failed."""
 
 
@@ -120,8 +120,6 @@ class Run:
         """(d, gamma) to simulate with; an explicit pair needs no spectrum."""
         if self.explicit_pair is not None:
             return self.explicit_pair
-        if self.isolation.status is IsolationStatus.FAILED:
-            raise StageError("isolation failed, no (d, gamma) available")
         return self.isolation.d, self.isolation.gamma
 
     @cached_property

@@ -203,20 +203,14 @@ def boundary_edges(mesh: Mesh) -> list[tuple[int, int]]:
 
 def boundary_loop_count(mesh: Mesh) -> int:
     """Number of connected components of the boundary edge graph."""
-    edges = boundary_edges(mesh)
-    if not edges:
-        return 0
-    parent: dict[int, int] = {}
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    return len({find(a) for a, _ in edges})
+    edges = np.array(boundary_edges(mesh), dtype=np.int64).reshape(-1, 2)
+    n = mesh.n_vertices
+    graph = coo_matrix((np.ones(len(edges)), edges.T), shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    return len(np.unique(labels[edges]))
 
 
 def euler_characteristic(mesh: Mesh) -> int:

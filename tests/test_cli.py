@@ -332,6 +332,15 @@ def test_match_after_a_pair_that_excites_nothing_fails(tmp_path, capsys):
     assert "error [match]:" in capsys.readouterr().err
 
 
+def test_pipeline_stops_after_a_pair_that_excites_nothing(tmp_path, capsys):
+    path = write_config(tmp_path, isolation={"d": 10.0, "gamma": 0.01})
+    assert main(["pipeline", "--config", str(path)]) == 1
+    assert "status=failed" in capsys.readouterr().out
+    isolation = json.loads((tmp_path / "out" / "isolation.json").read_text())
+    assert isolation["status"] == "failed" and isolation["excited"] == []
+    assert sorted(os.listdir(tmp_path / "out")) == ["isolation.json"]
+
+
 def test_match_refuses_a_state_grown_on_another_mesh(tmp_path, capsys):
     path = write_config(tmp_path)
     state = str(tmp_path / "out" / "final_state.vtk")

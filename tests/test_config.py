@@ -67,6 +67,22 @@ def test_unknown_key_rejected_with_path():
             RunConfig.parse(bad)
 
 
+@pytest.mark.parametrize("section", ["mesh", "kinetics", "eigensolver",
+                                     "isolation", "simulation", "match"])
+def test_section_that_is_a_list_rejected(section):
+    bad = dict(MINIMAL, **{section: [1, 2]})
+    with pytest.raises(ConfigError,
+                       match=rf"^{section}: expected a mapping, got list$"):
+        RunConfig.parse(bad)
+
+
+def test_output_dir_must_be_a_string():
+    for value in (3, ["out"], None):
+        with pytest.raises(ConfigError, match="^output_dir: expected a "
+                           "string$"):
+            RunConfig.parse(dict(MINIMAL, output_dir=value))
+
+
 def test_unknown_generator_rejected():
     bad = dict(MINIMAL, mesh={"generator": "torus"})
     with pytest.raises(ConfigError, match="generator"):

@@ -133,3 +133,23 @@ def test_isolation_soundness_property(target, seed):
     assert target in result.excited_indices
     d_c = critical_diffusion_ratio(Jm)
     assert all(d > d_c for d, _, _ in result.trace)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gaps=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=30),
+       target=st.integers(1, 29),
+       model=st.sampled_from(["schnakenberg", "gierer_meinhardt", "thomas"]))
+def test_isolate_mode_never_fails(gaps, target, model):
+    # an isolating rung excites the target, and the eps floor returns
+    # CLUSTERED: FAILED is left to explicit pairs that excite nothing
+    vals = np.concatenate(([0.0], 0.5 + np.cumsum(gaps)))
+    target = min(target, len(vals) - 1)
+    m = mi.make_model(model)
+    state = m.steady_state()
+    try:
+        result = isolate_mode(vals, target, m.jacobian(state.u, state.v))
+    except IsolationError as exc:
+        assert "eigensolver.count" in str(exc)
+        return
+    assert result.status in (IsolationStatus.UNIQUE,
+                             IsolationStatus.CLUSTERED)

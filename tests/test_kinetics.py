@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modeiso as mi
@@ -36,15 +37,15 @@ def test_steady_state_zeroes_kinetics(model):
 
 
 # Each model's steady state and Jacobian there, as (u, v, f_u, f_v, g_u,
-# g_v), pinned bit for bit: any change to the formulas or to the Newton
-# iterations shows here.
+# g_v), pinned bit for bit: any change to the formulas or to the root
+# search shows here.
 PINNED = {
     "schnakenberg": (1.0, 0.9, 0.8, 1.0, -1.8, -1.0),
     "gierer_meinhardt": (0.8394568695002604, 0.7046878357511773,
                          0.30273866762598556, -1.049339625271125,
                          1.6789137390005209, -1.0),
-    "thomas": (37.73821081675756, 25.158807211171705, 0.8995835147318647,
-               -4.462126850286287, 1.8995835147318647, -5.962126850286287),
+    "thomas": (37.738210819213705, 25.158807212809133, 0.8995835147011233,
+               -4.462126850100839, 1.8995835147011233, -5.962126850100839),
 }
 
 
@@ -56,9 +57,76 @@ def test_steady_state_and_jacobian_are_pinned(model):
 
 
 def test_gierer_meinhardt_steady_state_solves_g_exactly():
-    # the Newton runs on the reduction v = u^2 of g = 0
+    # the root search runs on the reduction v = u^2 of g = 0
     s = mi.gierer_meinhardt().steady_state()
     assert s.v == s.u * s.u
+
+
+def test_thomas_steady_state_past_the_inhibition_pole():
+    # a damped Newton from v = b/4 starts at u = -17.5, beyond the pole of
+    # 1 + u + K u^2, and never reaches this root
+    s = mi.thomas(50.0, 60.0, 0.05, 1.5, 13.0).steady_state()
+    assert s.u == pytest.approx(0.1673, abs=1e-4)
+    assert s.v == pytest.approx(26.778, abs=1e-3)
+
+
+def test_thomas_steady_state_has_a_positive_substrate():
+    # a damped Newton that guards only v > 0 returned u = -24.05 here
+    s = mi.thomas(50.0, 60.0, 0.01, 1.5, 5.0).steady_state()
+    assert s.u == pytest.approx(0.5777, abs=1e-4)
+    assert s.v == pytest.approx(27.052, abs=1e-3)
+
+
+THOMAS_GRID = list(itertools.product([50.0, 100.0, 150.0, 200.0],
+                                     [60.0, 100.0, 140.0], [0.01, 0.05, 0.1],
+                                     [0.5, 1.5, 3.0], [5.0, 13.0, 20.0, 30.0]))
+
+
+def test_thomas_steady_states_on_a_parameter_grid():
+    for a, b, K, alpha, rho in THOMAS_GRID:
+        model = mi.thomas(a, b, K, alpha, rho)
+        s = model.steady_state()
+        assert s.u > 0 and s.v > 0, (a, b, K, alpha, rho)
+        residual = max(abs(model.f(s.u, s.v)), abs(model.g(s.u, s.v)))
+        assert residual <= 1e-9 * max(1.0, abs(s.u), abs(s.v)), \
+            (a, b, K, alpha, rho)
+
+
+def test_thomas_bistable_point_returns_the_smallest_root():
+    # f along u = a - alpha (b - v) has roots near v = 42.51, 53.47 and
+    # 66.23; one bracketed solve over all of [40, 140] finds the last
+    model = mi.thomas(150.0, 140.0, 0.05, 1.5, 5.0)
+    s = model.steady_state()
+    assert s.v == pytest.approx(42.51, abs=1e-2)
+    v = np.linspace(40.0, 140.0, 100_001)
+    residual = model.f(150.0 - 1.5 * (140.0 - v), v)
+    crossings = v[1:][np.sign(residual[1:]) != np.sign(residual[:-1])]
+    assert len(crossings) == 3 and crossings[0] == pytest.approx(s.v,
+                                                                  abs=1e-3)
+
+
+@pytest.mark.parametrize("params", [
+    {"alpha": 0.0}, {"a": 0.0}, {"b": 0.0}, {"rho": 0.0},
+    {"a": 0.0, "b": 0.0, "K": 0.0, "alpha": 0.0, "rho": 0.0}],
+    ids=lambda p: ",".join(p))
+def test_thomas_edge_parameters_give_a_state_or_a_kinetics_error(params):
+    model = mi.thomas(**params)
+    try:
+        s = model.steady_state()
+    except KineticsError:
+        return
+    assert s.u >= 0 and s.v >= 0
+    assert model.f(s.u, s.v) == pytest.approx(0.0, abs=1e-9 * max(1.0, s.u))
+    assert model.g(s.u, s.v) == pytest.approx(0.0, abs=1e-9 * max(1.0, s.v))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=st.floats(1e-3, 100.0), b=st.floats(1e-3, 100.0))
+def test_gierer_meinhardt_without_saturation(a, b):
+    # k = 0 puts the root at u = (a + 1)/b, where f rounds to either sign:
+    # the bracket must reach past it
+    s = mi.gierer_meinhardt(a, b, 0.0).steady_state()
+    assert s.u == pytest.approx((a + 1.0) / b, rel=1e-12)
 
 
 def _fd_jacobian(model, u, v, h=1e-6):
@@ -89,6 +157,67 @@ def test_schnakenberg_jacobian_values(schnakenberg_jacobian):
 def test_critical_diffusion_ratio_schnakenberg(schnakenberg_jacobian):
     assert critical_diffusion_ratio(schnakenberg_jacobian) == pytest.approx(
         8.5677, abs=1e-4)
+
+
+def _probed_critical_ratio(J):
+    """The critical ratio as it was first computed: the smallest positive
+    root of q(d) at which both instability conditions hold just above
+    it.  Kept as the reference for `critical_diffusion_ratio`."""
+    aa = J.f_u ** 2
+    bb = 2.0 * (2.0 * J.f_v * J.g_u - J.f_u * J.g_v)
+    cc = J.g_v ** 2
+    if aa == 0.0:
+        raise KineticsError("f_u = 0: no critical diffusion ratio")
+    disc = bb * bb - 4.0 * aa * cc
+    if disc < 0:
+        raise KineticsError("no real critical diffusion ratio")
+    sq = math.sqrt(disc)
+    candidates = sorted(r for r in ((-bb - sq) / (2 * aa),
+                                    (-bb + sq) / (2 * aa)) if r > 0)
+    for root in candidates:
+        d = root * (1.0 + 1e-9) + 1e-12
+        trace_d = d * J.f_u + J.g_v
+        if trace_d > 0 and trace_d ** 2 - 4.0 * d * J.det > 0:
+            return root
+    raise KineticsError("no admissible critical diffusion ratio")
+
+
+@st.composite
+def turing_jacobians(draw):
+    """f_u > 0, trace < 0 and det > 0: g_v = -f_u - t, and g_u chosen so
+    that det is near the drawn margin (rounding may leave it <= 0)."""
+    f_u = draw(st.floats(1e-3, 10.0))
+    g_v = -f_u - draw(st.floats(1e-3, 10.0))
+    f_v = draw(st.floats(1e-3, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    margin = draw(st.floats(0.0, 10.0))
+    J = Jacobian2x2(f_u, f_v, (f_u * g_v - margin) / f_v, g_v)
+    assume(J.trace < 0 and J.det > 0)
+    return J
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(J=turing_jacobians())
+def test_critical_diffusion_ratio_is_the_probed_root(J):
+    d_c = critical_diffusion_ratio(J)
+    try:
+        reference = _probed_critical_ratio(J)
+    except KineticsError:
+        # at det within rounding of 0 the two roots nearly meet and the
+        # probe's q > 0 is lost to rounding: only the closed form answers
+        assert d_c > 0 and d_c == pytest.approx(-J.g_v / J.f_u, rel=1e-6)
+        return
+    assert d_c == reference
+
+
+@pytest.mark.parametrize("J", [
+    Jacobian2x2(0.0, 1.0, -1.8, -1.0),      # f_u = 0
+    Jacobian2x2(-0.8, 1.0, -1.8, 1.0),      # f_u < 0
+    Jacobian2x2(0.8, 1.0, 1.8, -1.0),       # f_v g_u > 0: no real root
+    Jacobian2x2(0.8, 1.0, 1.8, 1.0)],       # bb > 0: negative roots
+    ids=["f_u=0", "f_u<0", "complex", "negative"])
+def test_critical_diffusion_ratio_refuses_non_turing_kinetics(J):
+    with pytest.raises(KineticsError, match="no critical diffusion ratio"):
+        critical_diffusion_ratio(J)
 
 
 def test_window_values(schnakenberg_jacobian):
