@@ -24,6 +24,12 @@ from .kinetics import (MAX_STABLE_TAU, KineticsError, KineticsModel,
 from .mesh import DEFORMATION_PRESETS, Mesh
 
 
+# below this the eigensolver cannot reach its tolerance: the shift-invert
+# solves' rounding fails their residual check, or, with the shift grown to
+# avoid that, the Krylov space stagnates (eigensolver.default_shift)
+MIN_EIGENSOLVER_TOL = 1e-11
+
+
 class ConfigError(ValueError):
     """Configuration parse or validation failure; message carries the
     offending field path."""
@@ -199,6 +205,9 @@ class RunConfig:
             data.get("eigensolver"), "eigensolver",
             {"count": 12, "tol": 1e-9, "seed": 0},
             positives={"count", "tol"}, ints={"count", "seed"})
+        if eig["tol"] < MIN_EIGENSOLVER_TOL:
+            raise ConfigError(f"eigensolver.tol: expected at least "
+                              f"{MIN_EIGENSOLVER_TOL}, got {eig['tol']!r}")
         iso = _parse_scalar_section(
             data.get("isolation"), "isolation",
             {"target_index": None, "d": None, "gamma": None},

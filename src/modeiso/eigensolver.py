@@ -2,7 +2,11 @@
 thick-restart Lanczos.
 
 The operator T = (A + sigma*M)^-1 M is self-adjoint in the M-inner
-product.  Block Lanczos on T (Grimes, Lewis & Simon, SIMAX 15, 1994)
+product.  Its largest eigenvalues 1/(lambda + sigma) belong to the
+wanted smallest lambda, and they stand further apart the smaller sigma
+is against those lambda (Ericsson & Ruhe, Math. Comp. 35, 1980), so
+`default_shift` takes the smallest sigma the solves' residual check
+allows.  Block Lanczos on T (Grimes, Lewis & Simon, SIMAX 15, 1994)
 grows an M-orthonormal basis V by one block of BLOCK vectors per step:
 one multi-RHS solve applies T to the newest block, and block
 Gram-Schmidt M-orthogonalizes the result against V.  Each Gram-Schmidt
@@ -26,29 +30,29 @@ sweep repeats until the leading values stop changing.  BLOCK = 6 is one
 more than the largest multiplicity an icosphere's icosahedral symmetry
 gives (irreps of dimension <= 5), and above the multiplicity 2 of
 rectangles and tubes, so those meshes need no sweep.  A wider block
-takes fewer steps but solves more columns per converged pair: on the
-benchmark's five spectrum meshes, widths 6, 8 and 12 solve 888, 1 080
-and 1 488 columns in all.  A narrower block is no faster either: with
-COLAMD-ordered factors a spectrum pass took 3.35, 3.39 and 3.35 s at
-widths 3, 4 and 5 against 3.45 s at 6, and with the RCM + minimum-degree
-factors of `SpdSolver` 3.42, 3.16 and 3.33 s at widths 4, 5 and 8
-against 2.94-2.98 s at 6.
+takes fewer steps but solves more columns per converged pair, and no
+width is clearly faster: on the benchmark's five spectrum meshes at seed
+1, widths 4, 5, 6 and 8 solve 784, 775, 798 and 888 columns, and their
+eigensolves take 2.52-2.62, 2.42-2.46, 2.28-2.48 and 2.38-2.41 s in all
+(two best-of-3 timings each).
 
 The basis is capped at n.  When the Krylov space is exhausted, or a
 block turns rank deficient, only its deficient directions are replaced
-by fresh random ones, M-orthogonal to the basis and with zero coupling,
-so the Krylov relation holds for the rest.
+by fresh random ones, which take two Gram-Schmidt passes like every
+other row and have zero coupling, so the Krylov relation holds for the
+rest.
 
 The largest Ritz values theta of T map to the smallest eigenvalues via
 lambda = 1/theta - sigma.  The basis lives in the rows of preallocated
 (m, n) buffers, so each block update is a matrix product.
 
 Why not scipy's?  ARPACK `eigsh`, shift-inverted by the same factor,
-was faster on 4 of the benchmark's 5 spectrum meshes (rect200x100: 0.24
-against 0.48 s) but missed copies of multiple eigenvalues in 78, 54 and
-10 of 135 (count, seed) runs on icosphere(3), ball(1) and disk(2).
-LOBPCG preconditioned by it was 3.4-14x slower (icosphere(5): 8.07
-against 0.56 s).  Single runs, one BLAS thread, shared 2-core machine.
+was faster on 4 of the benchmark's 5 spectrum meshes (rect200x100: 0.25
+against 0.49 s; icosphere(5): 0.75 against 0.69 s) but missed copies of
+multiple eigenvalues in 85, 53 and 10 of 135 (count, seed) runs on
+icosphere(3), ball(1) and disk(2).  LOBPCG preconditioned by it was
+1.2-4x slower (tube(3): 0.91 against 0.23 s).  Timings here are best of
+3 (LOBPCG: single runs), one BLAS thread, shared 2-core machine.
 """
 
 from __future__ import annotations
@@ -101,8 +105,12 @@ def _gram_schmidt(X: np.ndarray, V: np.ndarray, W: np.ndarray,
     MX = (M @ X.T).T
     G = X @ MX.T
     s = 1.0 / np.sqrt((H * H).sum(axis=0) + G.diagonal())
-    U, piv, rank, _ = scipy.linalg.lapack.dpstrf(G * s[:, None] * s,
-                                                 tol=RANK_TOL ** 2)
+    G = G * s[:, None] * s
+    U, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, tol=RANK_TOL ** 2)
+    # dpstrf tests tol from its second pivot on, and always keeps the
+    # first (the largest diagonal entry), even when it is rounding noise
+    if np.max(G.diagonal(), initial=0.0) <= RANK_TOL ** 2:
+        rank = 0
     U = np.triu(U[:rank])
     perm, kept = piv - 1, piv[:rank] - 1
     S = np.linalg.inv(U[:, :rank]).T
@@ -127,6 +135,9 @@ def _next_block(X: np.ndarray, V: np.ndarray, W: np.ndarray,
     if fresh:
         Q1 = np.vstack((Q1, rng.standard_normal((fresh, n))))
         R1 = np.vstack((R1, np.zeros((fresh, len(X)))))
+        # the fresh rows take two passes, as X did
+        H0, Q1, _, R0 = _gram_schmidt(Q1, V, W, M)
+        H1, R1 = H1 + H0 @ R1, R0 @ R1
     H2, Q, MQ, R2 = _gram_schmidt(Q1, V, W, M)
     if len(Q) < len(Q1):
         raise EigensolverError("block orthonormalization broke down")
@@ -148,10 +159,23 @@ def _widest_cluster(theta: np.ndarray, rtol: float) -> int:
     return int(np.diff(np.concatenate(([0], breaks, [len(theta)]))).max())
 
 
-def default_shift(A: sp.spmatrix, M: sp.spmatrix) -> float:
-    """Small positive shift making A + sigma*M safely definite despite the
-    Neumann kernel."""
-    return 1e-3 * (A.diagonal().sum() / M.diagonal().sum())
+def default_shift(A: sp.spmatrix, M: sp.spmatrix,
+                  tol: float = 1e-9) -> float:
+    """Shift sigma of the solves with A + sigma*M at eigensolver tolerance
+    `tol`: the smallest that keeps them a margin inside their residual
+    check rtol = tol/100.
+
+    A solve's worst column residual, reached in the first blocks, is
+    (0.1-1.1) eps tr(A)/tr(M) / sigma on intervals, rectangles, disks,
+    balls, open and capped tubes and icospheres.  So sigma =
+    c (eps / rtol) tr(A)/tr(M) with c = 1e-15/eps (about 4.5) holds it
+    below a quarter of rtol: sigma is 1e-4 tr(A)/tr(M) at the default tol
+    1e-9 and 1e-3 tr(A)/tr(M) at tol 1e-10.  tr(A)/tr(M) grows like
+    1/h^2, and so does sigma, which fine meshes pay in Lanczos steps
+    once it passes the wanted eigenvalues; below tol 1e-11 no shift serves
+    (config.MIN_EIGENSOLVER_TOL).
+    """
+    return 1e-3 * (1e-10 / tol) * (A.diagonal().sum() / M.diagonal().sum())
 
 
 def smallest_eigenpairs(A: sp.spmatrix, M: sp.spmatrix, count: int,
@@ -164,7 +188,7 @@ def smallest_eigenpairs(A: sp.spmatrix, M: sp.spmatrix, count: int,
     n = A.shape[0]
     if count < 1 or count >= n:
         raise ValueError(f"count must be in [1, {n - 1}]")
-    sigma = default_shift(A, M)
+    sigma = default_shift(A, M, tol)
     M = M.tocsr()
     solver = SpdSolver((A + sigma * M).tocsr(), rtol=tol / 100.0)
     p = count + min(count, 10)        # Ritz vectors kept by a plain restart

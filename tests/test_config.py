@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 import modeiso as mi
+from modeiso.cli import main
 from modeiso.config import ConfigError, RunConfig, load_config
 from modeiso.meshio import write_vtk
 
@@ -101,6 +102,22 @@ def test_negative_tau_rejected():
         bad = dict(MINIMAL, simulation={"tau": tau})
         with pytest.raises(ConfigError, match=r"simulation\.tau"):
             RunConfig.parse(bad)
+
+
+def test_eigensolver_tol_below_floor_rejected(tmp_path, capsys):
+    # tol 1e-12 failed every mesh tried: a shift-invert solve missed its
+    # residual check, or with a larger shift the Krylov space stagnated
+    bad = dict(MINIMAL, eigensolver={"tol": 1e-12})
+    with pytest.raises(ConfigError, match=r"^eigensolver\.tol: expected at "
+                       r"least 1e-11, got 1e-12$"):
+        RunConfig.parse(bad)
+    ok = dict(MINIMAL, eigensolver={"tol": 1e-11})
+    assert RunConfig.parse(ok).eigensolver["tol"] == 1e-11
+    path = tmp_path / "tight.yaml"
+    path.write_text(yaml.safe_dump(dict(bad, output_dir=str(tmp_path / "o"))))
+    assert main(["eigs", "--config", str(path)]) == 2
+    assert "eigensolver.tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_match_threshold_at_most_one():

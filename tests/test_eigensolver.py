@@ -11,6 +11,7 @@ import modeiso as mi
 from modeiso import eigensolver
 from modeiso.eigensolver import (EigensolverError, default_shift,
                                  dense_generalized_eig, smallest_eigenpairs)
+from modeiso.solvers import SpdSolver
 
 
 def test_square_matches_dense_oracle(square_mesh, square_matrices):
@@ -90,11 +91,78 @@ def test_count_validation(square_matrices):
 
 
 def test_default_shift_positive(square_matrices):
+    # sigma = c (eps / rtol) tr(A)/tr(M) with rtol = tol/100 and
+    # c = 1e-15/eps: tol 1e-10 keeps the former 1e-3 tr(A)/tr(M) bit for
+    # bit, and a looser tol takes a smaller shift
     M, A = square_matrices
-    sigma = default_shift(A, M)
-    assert sigma > 0
-    assert sigma == pytest.approx(
-        1e-3 * A.diagonal().sum() / M.diagonal().sum())
+    ratio = A.diagonal().sum() / M.diagonal().sum()
+    assert default_shift(A, M, 1e-10) == 1e-3 * ratio
+    tols = [1e-11, 1e-10, 1e-9, 1e-6]
+    shifts = [default_shift(A, M, tol) for tol in tols]
+    assert shifts == pytest.approx([1e-13 / tol * ratio for tol in tols])
+    assert min(shifts) > 0 and np.all(np.diff(shifts) < 0)
+    assert default_shift(A, M) == default_shift(A, M, 1e-9)
+
+
+def _record_solves(monkeypatch) -> list[float]:
+    """Record each `SpdSolver.solve` call's worst column residual
+    ||b - A x|| / ||b|| in the returned list."""
+    worst = []
+    solve = SpdSolver.solve
+
+    def recorded(self, b):
+        x = solve(self, b)
+        worst.append(float(np.max(np.linalg.norm(b - self.A @ x, axis=0)
+                                  / np.linalg.norm(b, axis=0))))
+        return x
+
+    monkeypatch.setattr(SpdSolver, "solve", recorded)
+    return worst
+
+
+MARGIN_MESHES = {"interval": lambda: mi.generate_interval(1.0, 200),
+                 "square32": lambda: mi.generate_rectangle(1.0, 1.0, 32, 32),
+                 "disk4": lambda: mi.generate_disk(1.0, 4),
+                 "ball2": lambda: mi.generate_ball(2),
+                 "icosphere2": lambda: mi.generate_icosphere(2),
+                 "open_tube2": lambda: mi.generate_tube(4.0, 0.5, False, 2)}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+@pytest.mark.parametrize("name", sorted(MARGIN_MESHES))
+def test_shift_invert_solves_keep_a_margin(name, tol, monkeypatch):
+    # a solve's residual is about (0.1-1.1) eps tr(A)/tr(M) / sigma, which
+    # the default shift holds below a quarter of the check's rtol = tol/100
+    mesh = MARGIN_MESHES[name]()
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    worst = _record_solves(monkeypatch)
+    smallest_eigenpairs(A, M, count=12, tol=tol, seed=0)
+    assert max(worst) <= tol / 100.0 / 3.0
+
+
+def test_tight_tolerance_on_ball2():
+    # at the former shift 1e-3 tr(A)/tr(M) a block solve here missed the
+    # residual check rtol = 1e-13 (1.3e-13) and raised LinearSolveError
+    mesh = mi.generate_ball(2)
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    tol = 1e-11
+    spec = smallest_eigenpairs(A, M, count=12, tol=tol, seed=0)
+    lam, X = spec.eigenvalues, spec.vectors
+    assert np.abs(X.T @ (M @ X) - np.eye(12)).max() < 1e-8
+    backward = np.linalg.norm(A @ X - (M @ X) * lam, axis=0) / (
+        (spla.norm(A, 1) + lam * spla.norm(M, 1)) * np.linalg.norm(X, axis=0))
+    assert backward.max() <= 10.0 * tol
+
+
+def test_shift_below_the_wanted_eigenvalues_saves_blocks(monkeypatch):
+    # 2 x 1 rectangle, h = 0.01: the former shift 1e-3 tr(A)/tr(M) = 80
+    # sat above all 8 wanted eigenvalues (the largest 32.1) and took 23-26
+    # blocks; 8.0 takes 17
+    mesh = mi.generate_rectangle(2.0, 1.0, 200, 100)
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    solves = _record_solves(monkeypatch)
+    smallest_eigenpairs(A, M, count=8, tol=1e-9, seed=1)
+    assert len(solves) <= 18
 
 
 def test_error_carries_converged_count(square_matrices, monkeypatch):
@@ -165,7 +233,9 @@ def test_any_count_matches_dense_oracle(name, count, seed):
 
 
 @pytest.mark.parametrize("count", [20, 29])
-@pytest.mark.parametrize("seed", [0, 1, 2])
+# seeds 5-7 lost M-orthonormality (to 2e-11) while a block of rounding noise
+# kept one row and the fresh rows took a single Gram-Schmidt pass
+@pytest.mark.parametrize("seed", range(8))
 def test_rank_deficient_block_takes_fresh_rows(count, seed):
     # ten disconnected copies of one triangle: n = 30, and the Krylov
     # space of a block spans at most three directions per copy, so
@@ -180,3 +250,15 @@ def test_rank_deficient_block_takes_fresh_rows(count, seed):
     assert np.abs(spec.eigenvalues - dense).max() <= 1e-9 * dense.max()
     X = spec.vectors
     assert np.abs(X.T @ (M @ X) - np.eye(count)).max() <= 3e-14
+
+
+def test_gram_schmidt_drops_a_block_of_rounding_noise():
+    # rows inside span(V) up to rounding have rank 0, not the one row
+    # LAPACK's pivoted Cholesky keeps whatever its tolerance
+    rng = np.random.default_rng(0)
+    M = sp.identity(40, format="csr")
+    V = np.linalg.qr(rng.standard_normal((40, 12)))[0].T
+    X = rng.standard_normal((6, 12)) @ V * 300.0
+    H, Q, MQ, R = eigensolver._gram_schmidt(X, V, V, M)
+    assert Q.shape == (0, 40) and R.shape == (0, 6)
+    assert np.abs(H.T @ V - X).max() <= 1e-12
