@@ -26,7 +26,8 @@ from .mesh import DEFORMATION_PRESETS, Mesh
 
 # below this the eigensolver cannot reach its tolerance: the shift-invert
 # solves' rounding fails their residual check, or, with the shift grown to
-# avoid that, the Krylov space stagnates (eigensolver.default_shift)
+# avoid that, the Krylov space stagnates (eigensolver.default_shift); the
+# config and `eigensolver.smallest_eigenpairs` both refuse a smaller tol
 MIN_EIGENSOLVER_TOL = 1e-11
 
 

@@ -63,6 +63,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .config import MIN_EIGENSOLVER_TOL
 from .solvers import LinearSolveError, SpdSolver
 
 DENSE_ORDER_LIMIT = 2000
@@ -172,8 +173,8 @@ def default_shift(A: sp.spmatrix, M: sp.spmatrix,
     below a quarter of rtol: sigma is 1e-4 tr(A)/tr(M) at the default tol
     1e-9 and 1e-3 tr(A)/tr(M) at tol 1e-10.  tr(A)/tr(M) grows like
     1/h^2, and so does sigma, which fine meshes pay in Lanczos steps
-    once it passes the wanted eigenvalues; below tol 1e-11 no shift serves
-    (config.MIN_EIGENSOLVER_TOL).
+    once it passes the wanted eigenvalues; below tol 1e-11 no shift serves,
+    so `smallest_eigenpairs` refuses it (MIN_EIGENSOLVER_TOL).
     """
     return 1e-3 * (1e-10 / tol) * (A.diagonal().sum() / M.diagonal().sum())
 
@@ -183,11 +184,15 @@ def smallest_eigenpairs(A: sp.spmatrix, M: sp.spmatrix, count: int,
     """The `count` smallest eigenpairs of A x = lambda M x.
 
     Deterministic for a fixed seed.  Eigenvectors are M-orthonormal with
-    a sign convention (largest-magnitude entry positive).
+    a sign convention (largest-magnitude entry positive).  `tol` must be
+    at least MIN_EIGENSOLVER_TOL (see `default_shift`).
     """
     n = A.shape[0]
     if count < 1 or count >= n:
         raise ValueError(f"count must be in [1, {n - 1}]")
+    if not tol >= MIN_EIGENSOLVER_TOL:
+        raise ValueError(f"tol must be at least {MIN_EIGENSOLVER_TOL}, "
+                         f"got {tol!r}")
     sigma = default_shift(A, M, tol)
     M = M.tocsr()
     solver = SpdSolver((A + sigma * M).tocsr(), rtol=tol / 100.0)

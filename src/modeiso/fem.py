@@ -10,32 +10,22 @@ the tangential gradient in each triangle's plane.
 
 Both matrices scatter into one CSR pattern per mesh, built once and kept
 for the last mesh assembled: each cell's vertex pairs sorted once into
-unique edges, and the data slots of every edge, its mirror and the
-diagonal.  A matrix is then two `np.bincount` sums in cell order, one
-over edges and one over vertices; each edge sum fills both of its slots,
-so the matrix is exactly symmetric by construction.
+unique edges, and a symmetric slot-id matrix, upper + upper^T + diagonal,
+whose every slot names the edge or vertex sum that fills it.  A matrix
+is then two `np.bincount` sums in cell order, one over edges and one
+over vertices; each edge sum fills both (i, j) and (j, i), so the matrix
+is exactly symmetric by construction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
-
-
-class _Pattern(NamedTuple):
-    """The CSR pattern of a mesh's P1 matrices: the diagonal and both
-    triangles of every edge, and where each data slot's value comes from."""
-    indptr: np.ndarray
-    indices: np.ndarray
-    cell_edges: np.ndarray   # (nc, pairs): edge number of each vertex pair
-    source: np.ndarray       # (nnz,): each slot's index into the edge sums
-                             # followed by the vertex sums
 
 
 def _pairs(npc: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,35 +34,22 @@ def _pairs(npc: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=1)   # M and A of the last mesh share it
-def _pattern(mesh: Mesh) -> _Pattern:
+def _pattern(mesh: Mesh) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The CSR pattern of a mesh's P1 matrices, the diagonal and both
+    triangles of every edge, as a slot-id matrix: each slot holds 1 + its
+    index into the edge sums followed by the vertex sums (1 +, as the
+    sparse sum drops zeros).  Also the edge number of each cell's vertex
+    pairs, (nc, pairs)."""
     n = mesh.n_vertices
     a, b = _pairs(mesh.intrinsic_dim + 1)
     ends = mesh.cells[:, a], mesh.cells[:, b]
     keys = np.minimum(*ends) * n + np.maximum(*ends)
     edges, cell_edges = np.unique(keys, return_inverse=True)
-    lo, hi = np.divmod(edges, n)             # sorted by (lo, hi)
-    n_lower = np.bincount(hi, minlength=n)   # row i: (i, lo) with hi = i
-    n_upper = np.bincount(lo, minlength=n)   # row i: (i, hi) with lo = i
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_lower + 1 + n_upper, out=indptr[1:])
-    # a row holds its lower entries, its diagonal, then its upper entries,
-    # each side ordered by column; an edge's slot is its side's first slot
-    # in the row plus its rank among the edges before it in sorted order
-    first = indptr[:-1]
-    diagonal = first + n_lower
-    rank = np.arange(len(edges))
-    upper = rank + (diagonal + 1 - (np.cumsum(n_upper) - n_upper))[lo]
-    by_hi = np.argsort(hi, kind="stable")    # (hi, lo) order
-    lower = np.empty_like(upper)
-    lower[by_hi] = rank + (first - (np.cumsum(n_lower) - n_lower))[hi[by_hi]]
-    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty(indptr[-1], dtype=index)
-    indices[upper], indices[lower], indices[diagonal] = hi, lo, np.arange(n)
-    source = np.empty(indptr[-1], dtype=np.intp)
-    source[upper] = source[lower] = rank
-    source[diagonal] = len(edges) + np.arange(n)
-    return _Pattern(indptr.astype(index), indices,
-                    cell_edges.reshape(mesh.n_cells, -1), source)
+    upper = sp.csr_matrix((np.arange(1, len(edges) + 1), np.divmod(edges, n)),
+                          shape=(n, n))
+    slots = upper + upper.T + sp.diags(len(edges) + np.arange(1, n + 1),
+                                       dtype=np.intp)
+    return slots, cell_edges.reshape(mesh.n_cells, -1)
 
 
 def _assemble(mesh: Mesh, diagonal: np.ndarray,
@@ -81,13 +58,11 @@ def _assemble(mesh: Mesh, diagonal: np.ndarray,
     and their pair entries (nc, pairs) in `_pairs` order, in cell order.
     Each edge sum fills both of its slots, so the matrix is exactly
     symmetric; exact zeros are not stored."""
-    pattern = _pattern(mesh)
-    edge_sums = np.bincount(pattern.cell_edges.ravel(), pairs.ravel())
-    vertex_sums = np.bincount(mesh.cells.ravel(), diagonal.ravel())
-    data = np.concatenate([edge_sums, vertex_sums])[pattern.source]
-    mat = sp.csr_matrix((data, pattern.indices.copy(),
-                         pattern.indptr.copy()),
-                        shape=(mesh.n_vertices, mesh.n_vertices))
+    slots, cell_edges = _pattern(mesh)
+    sums = np.concatenate([np.bincount(cell_edges.ravel(), pairs.ravel()),
+                           np.bincount(mesh.cells.ravel(), diagonal.ravel())])
+    mat = sp.csr_matrix((sums[slots.data - 1], slots.indices.copy(),
+                         slots.indptr.copy()), shape=slots.shape)
     mat.eliminate_zeros()
     return mat
 

@@ -198,12 +198,14 @@ class ImexStepper:
 
     def ptc_matrix(self, w: np.ndarray, delta: float) -> sp.csr_matrix:
         """M2/delta + D - gamma M2 J_R(w), with J_R the nodal Jacobian of R
-        as a 2x2 block of diagonals."""
+        as a 2x2 block of diagonals: f_u | g_v on the main diagonal, f_v
+        and g_u n above and below it."""
         n = len(w) // 2
         jac = self.config.model.jacobian(w[:n], w[n:])
-        J_R = sp.bmat([[sp.diags(np.broadcast_to(x, (n,)).astype(float))
-                        for x in row]
-                       for row in ((jac.f_u, jac.f_v), (jac.g_u, jac.g_v))])
+        f_u, f_v, g_u, g_v = (np.broadcast_to(x, (n,)) for x in
+                              (jac.f_u, jac.f_v, jac.g_u, jac.g_v))
+        J_R = sp.diags([np.concatenate([f_u, g_v]), f_v, g_u], [0, n, -n],
+                       dtype=float)
         return (self.M2 / delta + self.D
                 - self.config.gamma * (self.M2 @ J_R)).tocsr()
 

@@ -44,11 +44,11 @@ class SpdSolver:
     """
 
     def __init__(self, A: sp.spmatrix, rtol: float = 1e-10):
-        self.A = A.tocsr()
+        A = A.tocsr()
         self.rtol = rtol
-        self._perm = reverse_cuthill_mckee(self.A, symmetric_mode=False)
+        self._perm = reverse_cuthill_mckee(A, symmetric_mode=False)
         self._unperm = np.argsort(self._perm)
-        self._Ap = self.A[self._perm][:, self._perm]
+        self._Ap = A[self._perm][:, self._perm]
         try:
             self._factor = spla.splu(self._Ap.tocsc(),
                                      permc_spec="MMD_AT_PLUS_A")

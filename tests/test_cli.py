@@ -413,6 +413,26 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert main(["match", "--config", str(strict)]) == 3
 
 
+def test_pipeline_stopped_at_max_time_writes_no_match(tmp_path, capsys):
+    # the shipped square grows past t = 1, so the march ends at max_time
+    with open(os.path.join(ROOT, "configs", "square_mode1.yaml")) as f:
+        config = yaml.safe_load(f)
+    config["simulation"]["max_time"] = 1.0
+    config["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert main(["pipeline", "--config", str(path)]) == 1
+    assert "simulate: status=max_time t=1" in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    outcome = json.loads((out_dir / "outcome.json").read_text())
+    assert outcome["status"] == "max_time" and outcome["elapsed"] == 1.0
+    last = (out_dir / "derivative_history.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == 1.0
+    assert sorted(os.listdir(out_dir)) == [
+        "derivative_history.csv", "final_state.vtk", "isolation.json",
+        "outcome.json"]
+
+
 def test_simulate_with_an_explicit_pair_computes_no_spectrum(tmp_path,
                                                              monkeypatch):
     def no_spectrum(*args, **kwargs):

@@ -90,6 +90,22 @@ def test_count_validation(square_matrices):
         smallest_eigenpairs(A, M, count=A.shape[0])
 
 
+def test_tolerance_below_the_floor_rejected(monkeypatch):
+    # below 1e-11 no shift serves (default_shift): tol 1e-12 ran ~185
+    # blocks into EigensolverError on disk(6) and a 140 x 140 rectangle, so
+    # it is refused before anything is factored
+    mesh = mi.generate_rectangle(1.0, 1.0, 32, 32)
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    factored = []
+    monkeypatch.setattr(eigensolver, "SpdSolver",
+                        lambda *args, **kw: factored.append(args)
+                        or SpdSolver(*args, **kw))
+    for tol in (1e-12, float("nan")):
+        with pytest.raises(ValueError, match=r"^tol must be at least 1e-11"):
+            smallest_eigenpairs(A, M, count=12, tol=tol, seed=1)
+    assert factored == []
+
+
 def test_default_shift_positive(square_matrices):
     # sigma = c (eps / rtol) tr(A)/tr(M) with rtol = tol/100 and
     # c = 1e-15/eps: tol 1e-10 keeps the former 1e-3 tr(A)/tr(M) bit for
@@ -112,8 +128,10 @@ def _record_solves(monkeypatch) -> list[float]:
 
     def recorded(self, b):
         x = solve(self, b)
-        worst.append(float(np.max(np.linalg.norm(b - self.A @ x, axis=0)
-                                  / np.linalg.norm(b, axis=0))))
+        bp = b[self._perm]    # the residual the check computes
+        worst.append(float(np.max(
+            np.linalg.norm(bp - self._Ap @ x[self._perm], axis=0)
+            / np.linalg.norm(bp, axis=0))))
         return x
 
     monkeypatch.setattr(SpdSolver, "solve", recorded)
