@@ -163,21 +163,31 @@ def make_model(name: str, **params: float) -> KineticsModel:
     return builder(**params)
 
 
-def _bracketed_root(fn: Callable, lo: float, hi: float) -> float:
-    """The smallest root of fn on [lo, hi] that a sign change on a grid of
-    _ROOT_GRID points shows, refined by Brent's method (`brentq`) to
-    scipy's smallest relative tolerance.  fn broadcasts over arrays."""
+def grid_roots(fn: Callable, x: np.ndarray):
+    """Yield, in ascending order, each root of fn that the ascending grid
+    x shows: each grid point where fn is exactly 0, and each sign change
+    between neighbours refined by Brent's method (`brentq`) to scipy's
+    smallest relative tolerance.  fn broadcasts over arrays; signs are
+    compared, not multiplied, so tiny values of fn cannot underflow."""
     from scipy.optimize import brentq
 
-    x = np.linspace(lo, hi, _ROOT_GRID)
     sign = np.sign(fn(x))
-    i = int(np.argmax((sign == 0) | (sign != sign[0])))
-    if sign[i] == 0:
-        return float(x[i])
-    if sign[i] == sign[0]:
+    change = np.append((sign[1:] == -sign[:-1]) & (sign[1:] != 0), False)
+    for i in np.flatnonzero((sign == 0) | change):
+        if sign[i] == 0:
+            yield float(x[i])
+        else:
+            yield brentq(fn, x[i], x[i + 1], xtol=np.finfo(float).tiny,
+                         rtol=4.0 * np.finfo(float).eps)
+
+
+def _bracketed_root(fn: Callable, lo: float, hi: float) -> float:
+    """The smallest root of fn on [lo, hi] that `grid_roots` finds on a
+    grid of _ROOT_GRID points."""
+    root = next(grid_roots(fn, np.linspace(lo, hi, _ROOT_GRID)), None)
+    if root is None:
         raise KineticsError(f"no steady state in [{lo:.6g}, {hi:.6g}]")
-    return brentq(fn, x[i - 1], x[i], xtol=np.finfo(float).tiny,
-                  rtol=4.0 * np.finfo(float).eps)
+    return root
 
 
 def critical_diffusion_ratio(J: Jacobian2x2) -> float:

@@ -11,7 +11,8 @@ The growth march is linearly implicit Euler with
 K = M2/tau_g + D - gamma M2 J_R(w*): diffusion and the reactions
 linearized at the uniform steady state w* are implicit, the rest of the
 reactions explicit.  K is constant, so `SpdSolver` factors it once per
-run.  The step is sized by the dispersion relation: tau_g |sigma_max| =
+run, and once more for a last step shortened to end at max_time.  The
+step is sized by the dispersion relation: tau_g |sigma_max| =
 GROWTH_STEP, where sigma_max is the largest growth rate over k^2 >= 0
 (`kinetics.max_growth_rate`); implicit Euler on a growing mode needs
 tau sigma < 1.  When nothing grows, sigma_max < 0 is the slowest decay
@@ -37,8 +38,10 @@ evolution relaxation, delta <- delta ||F_old|| / ||F_new|| (Kelley &
 Keyes, SINUM 35, 1998).  After each PTC step one IMEX step from the PTC
 state applies the unchanged stop test, and the run returns that post-IMEX
 state.  When PTC fails (a failed solve, the step cap, or ||F|| growing),
-the growth march resumes from the switch state.  Every solve is residual
-checked.
+or returns to the uniform state (closer to w* than PTC_MIN_DISTANCE
+times the switch state), the growth march resumes from the switch state.
+Every solve is residual checked, so a non-finite F(w), at the initial
+state or after a growth step, ends the run as diverged before its solve.
 """
 
 from __future__ import annotations
@@ -80,6 +83,12 @@ PTC_MAX_STEPS = 200
 # ||F|| above this multiple of its value at the switch abandons PTC; the
 # largest ratio measured on the shipped and grow configs was 2.23.
 PTC_MAX_GROWTH = 10.0
+# A PTC result closer to the uniform state w* than this fraction of the
+# switch state's distance (M2-norm of w - w*) is refused: PTC has
+# returned to w*, not reached the pattern.  The ratio was 0.99-1.024 on
+# the shipped and grow configs (seeds 1-2), and 1.2e-12 for Thomas
+# kinetics on configs/square_mode1.yaml at GROWTH_STEP 0.01.
+PTC_MIN_DISTANCE = 0.1
 
 
 class SimulationStatus(enum.Enum):
@@ -100,6 +109,10 @@ class SimulationConfig:
     amplitude: float = 0.01
 
     def __post_init__(self) -> None:
+        for name in ("tau", "stop_tol", "max_time", "amplitude", "d",
+                     "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau <= 0 or self.tau > MAX_STABLE_TAU:
             raise ValueError(f"tau must be in (0, {MAX_STABLE_TAU}]")
         if min(self.d, self.gamma, self.stop_tol, self.max_time) <= 0:
@@ -196,6 +209,11 @@ class ImexStepper:
         norms = np.sqrt(np.maximum(sq, 0.0))    # rows u, v; columns d/dt, w
         return float(norms[0, 0] + norms[1, 0]), float(norms[:, 1].max())
 
+    def distance(self, w: np.ndarray) -> float:
+        """The M2-norm of w - w*, the distance from the uniform state."""
+        e = w - self.w_star
+        return math.sqrt(max(e @ (self.M2 @ e), 0.0))
+
     def ptc_matrix(self, w: np.ndarray, delta: float) -> sp.csr_matrix:
         """M2/delta + D - gamma M2 J_R(w), with J_R the nodal Jacobian of R
         as a 2x2 block of diagonals: f_u | g_v on the main diagonal, f_v
@@ -216,7 +234,10 @@ def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
     Returns (steps taken, result): result is (w, derivative norm) of the
     first post-IMEX state that passes the stop test, or None when PTC
     failed and the caller should go on from w with the growth march.
+    A state that passes the stop test back at the uniform state, closer
+    to w* than PTC_MIN_DISTANCE times the switch state, is a failure.
     """
+    min_distance = PTC_MIN_DISTANCE * stepper.distance(w)
     F = stepper.residual(w)
     f_norm = f_switch = np.linalg.norm(F)
     delta = PTC_DELTA0
@@ -233,6 +254,8 @@ def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
         dw = stepper.solver.solve(F)    # the IMEX step from w
         deriv, _ = stepper.norms(w + dw, dw)
         if deriv < stepper.config.stop_tol:
+            if stepper.distance(w + dw) < min_distance:
+                return k, None
             return k, (w + dw, deriv)
         delta *= f_norm / f_new
         f_norm = f_new
@@ -269,6 +292,8 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
     ptc_steps = 0
     status = SimulationStatus.MAX_TIME
     F = stepper.residual(w)
+    if not np.isfinite(F).all():    # no step: its solve would refuse F
+        status, n_steps = SimulationStatus.DIVERGED, 0
     for step in range(1, n_steps + 1):
         if step == n_steps:     # shortened to end at max_time
             last = config.max_time - t
@@ -276,10 +301,10 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
                 growth = stepper.growth_solver(last)
         w = w + growth.solve(F)
         t = config.max_time if step == n_steps else step * tau_g
-        if not np.all(np.isfinite(w)):
+        F = stepper.residual(w)
+        if not np.isfinite(F).all():
             status = SimulationStatus.DIVERGED
             break
-        F = stepper.residual(w)
         dw = stepper.solver.solve(F)
         deriv, size = stepper.norms(w, dw)
         history.append((t, deriv))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import modeiso as mi
 from modeiso.kinetics import (Jacobian2x2, KineticsError,
                               critical_diffusion_ratio, dimensionless_window,
-                              dispersion, growth_rate, make_model,
-                              max_growth_rate, wavenumber_window)
+                              dispersion, grid_roots, growth_rate,
+                              make_model, max_growth_rate, wavenumber_window)
 
 MODELS = [mi.schnakenberg(), mi.gierer_meinhardt(), mi.thomas()]
 
@@ -262,6 +262,44 @@ def test_make_model_dispatch_and_errors():
         make_model("brusselator")
     with pytest.raises(KineticsError):
         mi.schnakenberg(a=-1.0)
+
+
+def test_grid_roots_yields_zeros_and_refined_sign_changes_in_order():
+    # roots at 0.25 (a grid point), 0.33 and 0.71; fn scaled so far down
+    # that the product of neighbouring values underflows to 0
+    def fn(x):
+        return 1e-200 * (x - 0.25) * (x - 0.33) * (x - 0.71)
+    x = np.linspace(0.0, 1.0, 21)
+    assert np.all(fn(x[:-1]) * fn(x[1:]) >= 0)
+    roots = list(grid_roots(fn, x))
+    assert roots[0] == 0.25
+    assert roots[1:] == pytest.approx([0.33, 0.71], abs=1e-15)
+    assert list(grid_roots(lambda x: 1.0 + x, x)) == []
+
+
+J_SCHNAKENBERG = mi.schnakenberg().jacobian(1.0, 0.9)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mi.gierer_meinhardt(a=0.0), KineticsError,
+     "Gierer-Meinhardt parameters must be positive"),
+    (lambda: mi.gierer_meinhardt(b=-1.0), KineticsError,
+     "Gierer-Meinhardt parameters must be positive"),
+    (lambda: mi.gierer_meinhardt(k=-0.1), KineticsError,
+     "Gierer-Meinhardt parameters must be positive"),
+    (lambda: mi.thomas(rho=-1.0), KineticsError,
+     "Thomas parameters must be non-negative"),
+    (lambda: dispersion(J_SCHNAKENBERG, 10.0, 15.0, -1.0), ValueError,
+     "need k2 >= 0 and gamma > 0"),
+    (lambda: dispersion(J_SCHNAKENBERG, 10.0, 0.0, 1.0), ValueError,
+     "need k2 >= 0 and gamma > 0"),
+    (lambda: wavenumber_window(J_SCHNAKENBERG, 10.0, 0.0), ValueError,
+     "gamma must be positive"),
+], ids=["gm_a", "gm_b", "gm_k", "thomas", "dispersion_k2",
+        "dispersion_gamma", "window_gamma"])
+def test_kinetics_refuses_invalid_input(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_jacobian_at_arbitrary_point_matches_fd():

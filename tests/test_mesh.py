@@ -429,3 +429,44 @@ def test_surface_audit_rejects_three_triangle_fan():
     cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
     with pytest.raises(MeshError):
         mi.Mesh(verts, cells)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mi.Mesh(np.zeros(3), [[0, 1]]),
+     "vertices must be a 2D array of coordinates"),
+    (lambda: mi.Mesh(np.zeros((3, 2)), [0, 1, 2]),
+     "cells must be a 2D array of vertex indices"),
+    (lambda: mi.Mesh(np.eye(5, 3), [[0, 1, 2, 3, 4]]),
+     "unsupported intrinsic dim 4"),
+    (lambda: mi.Mesh(np.eye(3, 4), [[0, 1, 2]]),
+     "unsupported embedding dim 4"),
+    (lambda: mi.Mesh(np.arange(3.0)[:, None], [[0, 1, 2]]),
+     "intrinsic dim exceeds embedding dim"),
+    (lambda: mi.Mesh(np.eye(3, 2), np.zeros((0, 3), dtype=int)),
+     "mesh has no cells"),
+    (lambda: mi.generate_interval(0.0, 4), "interval length must be positive"),
+    (lambda: mi.generate_interval(1.0, 0), "n_cells must be >= 1"),
+    (lambda: mi.generate_rectangle(1.0, -1.0, 2, 2),
+     "rectangle sides must be positive"),
+    (lambda: mi.generate_rectangle(1.0, 1.0, 2, 0), "nx and ny must be >= 1"),
+    (lambda: mi.generate_disk(0.0, 1), "radius must be positive"),
+    (lambda: mi.generate_disk(1.0, -1), "refinement must be non-negative"),
+    (lambda: mi.generate_icosphere(-1), "refinement must be non-negative"),
+    (lambda: mi.generate_ball(-1), "refinement must be non-negative"),
+    (lambda: mi.generate_tube(0.0, 1.0, True, 1),
+     "length and radius must be positive"),
+    (lambda: mi.generate_tube(1.0, 0.5, False, -1),
+     "refinement must be non-negative"),
+    (lambda: boundary_edges(mi.generate_ball(0)),
+     "boundary_edges requires a triangle mesh"),
+    (lambda: euler_characteristic(mi.generate_interval(1.0, 2)),
+     "euler_characteristic implemented for triangle meshes"),
+], ids=["vertices_1d", "cells_1d", "intrinsic_4", "embedding_4",
+        "intrinsic_above_embedding", "no_cells", "interval_length",
+        "interval_cells", "rectangle_sides", "rectangle_counts",
+        "disk_radius", "disk_refinement", "icosphere_refinement",
+        "ball_refinement", "tube_sides", "tube_refinement",
+        "boundary_edges_tetrahedra", "euler_characteristic_interval"])
+def test_mesh_refuses_invalid_input(call, message):
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        call()

@@ -318,3 +318,19 @@ def test_read_vtk_scalars_component_count_is_optional(tmp_path):
     path.write_bytes(replace_line(data, at["SCALARS"], "SCALARS u double"))
     _, fields = read_vtk(path)
     assert np.array_equal(fields["u"], np.arange(9.0))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"\nBINARY\n", b"\nBINARX\n", "expected 'BINARY', got 'BINARX'"),
+    (b"\nDATASET UNSTRUCTURED_GRID\n", b"\nDATASET POLYDATA\n",
+     "expected 'DATASET UNSTRUCTURED_GRID', got 'DATASET POLYDATA'"),
+    (b"\nCELLS 8 32\n", b"\nCELLS 0 0\n", "CELLS block is empty"),
+], ids=["not_binary", "not_unstructured_grid", "no_cells"])
+def test_read_vtk_refuses_a_header_it_does_not_read(tmp_path, old, new,
+                                                     message):
+    path, data, _ = _rectangle_vtk(tmp_path)
+    at = data.index(old) + 1
+    path.write_bytes(data.replace(old, new, 1))
+    with pytest.raises(MeshIOError, match=re.escape(
+            f"{path}: byte {at}: {message}")):
+        read_vtk(path)

@@ -97,14 +97,19 @@ def _scalar_roots(l, k_max=20.0, scan_step=0.05, xtol=1e-10):
     return roots
 
 
-def test_roots_equal_the_scalar_bisection_bit_for_bit():
-    # every bracket of every degree is bisected in one array per step;
-    # the arithmetic is unchanged, so the roots must be equal, not close
+def test_roots_agree_with_the_scalar_bisection():
+    # Brent's method and bisection find the same roots: each within the
+    # bisection's final bracket width, with j_l' zero to rounding level
     reference = {l: _scalar_roots(l) for l in range(30)}
-    for l, roots in reference.items():
-        assert bessel_derivative_roots(l) == roots
-    values = [0.0] + [k * k for l, roots in reference.items()
-                      for k in roots for _ in range(2 * l + 1)]
+    roots = {l: bessel_derivative_roots(l) for l in reference}
+    for l in reference:
+        assert len(roots[l]) == len(reference[l])
+        assert np.abs(np.subtract(roots[l], reference[l])).max(
+            initial=0.0) <= 1e-10
+        assert np.abs(spherical_jn(l, roots[l], derivative=True)).max(
+            initial=0.0) < 1e-14
+    values = [0.0] + [k * k for l, ks in roots.items()
+                      for k in ks for _ in range(2 * l + 1)]
     bulk = eigenvalue_array(sphere_bulk_spectrum(len(values)))
     assert bulk.tolist() == sorted(values)
 
@@ -112,3 +117,10 @@ def test_roots_equal_the_scalar_bisection_bit_for_bit():
 def test_sphere_bulk_spectrum_range_error():
     with pytest.raises(ValueError, match="k_max"):
         sphere_bulk_spectrum(500, k_max=6.0)
+
+
+@pytest.mark.parametrize("lx, ly", [(0.0, 1.0), (1.0, -2.0)])
+def test_rectangle_neumann_refuses_a_non_positive_side(lx, ly):
+    with pytest.raises(ValueError,
+                       match="^rectangle sides must be positive$"):
+        rectangle_neumann(lx, ly, 4)

@@ -44,6 +44,22 @@ def test_config_validation():
         SimulationConfig(model=model, d=10.0, gamma=20.0, amplitude=-0.1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["tau", "stop_tol", "max_time", "amplitude",
+                                  "d", "gamma"])
+def test_config_refuses_non_finite_values(name, value):
+    params = {"model": mi.schnakenberg(), "d": 10.0, "gamma": 20.0}
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        SimulationConfig(**{**params, name: value})
+
+
+def test_initial_condition_refuses_a_negative_amplitude(small_mesh):
+    state = mi.schnakenberg().steady_state()
+    with pytest.raises(ValueError,
+                       match="^amplitude must be non-negative$"):
+        initial_condition(small_mesh, state, amplitude=-0.1, seed=0)
+
+
 def test_initial_condition_bounds_and_determinism(small_mesh):
     state = mi.schnakenberg().steady_state()
     u1, v1 = initial_condition(small_mesh, state, amplitude=0.01, seed=5)
@@ -171,6 +187,43 @@ def test_divergence_detected(small_mesh, small_MA):
     out = simulate(small_mesh, config, *small_MA,
                    initial=(np.ones(n), np.ones(n)))
     assert out.status is SimulationStatus.DIVERGED
+
+
+def test_non_finite_initial_residual_is_diverged(small_mesh, small_MA):
+    # v = 0 at one vertex is a pole of the Gierer-Meinhardt reaction
+    model = mi.gierer_meinhardt()
+    state = model.steady_state()
+    n = small_mesh.n_vertices
+    v = np.full(n, state.v)
+    v[0] = 0.0
+    config = SimulationConfig(model=model, d=30.0, gamma=50.0)
+    with np.errstate(divide="ignore"):
+        out = simulate(small_mesh, config, *small_MA,
+                       initial=(np.full(n, state.u), v))
+    assert out.status is SimulationStatus.DIVERGED
+    assert out.residual_norm is None
+    assert out.elapsed == 0.0 and out.history == ()
+
+
+def test_reaction_overflow_after_a_growth_step_is_diverged(small_mesh,
+                                                           small_MA):
+    # f grows u until it overflows to inf at |u| = 1e3, long before the
+    # state's norm reaches DIVERGENCE_NORM
+    overflow = KineticsModel(
+        "overflow", {},
+        f=lambda u, v: np.where(np.abs(u) < 1e3, 1e6 * u, np.inf),
+        g=lambda u, v: 0.0 * v,
+        jacobian=lambda u, v: Jacobian2x2(1e6, 0.0, 0.0, -1.0),
+        steady_state=lambda: SteadyState(0.0, 0.0))
+    config = SimulationConfig(model=overflow, d=1.0, gamma=1.0,
+                              stop_tol=1e-30, max_time=1.0, amplitude=0.0)
+    n = small_mesh.n_vertices
+    out = simulate(small_mesh, config, *small_MA,
+                   initial=(np.ones(n), np.zeros(n)))
+    assert out.status is SimulationStatus.DIVERGED
+    assert out.residual_norm is None
+    assert len(out.history) > 0
+    assert np.abs(out.u).max() >= 1e3 and np.isfinite(out.u).all()
 
 
 @pytest.mark.parametrize("model", [mi.schnakenberg(), mi.gierer_meinhardt(),
@@ -357,6 +410,28 @@ def test_ptc_failure_falls_back_to_imex(growth, monkeypatch, failure):
     assert np.abs(out.v - v_ref).max() < 1e-12
     # ... at the grown pattern, not the uniform state
     assert np.ptp(out.u) > 0.5
+
+
+def test_ptc_finish_refuses_a_return_to_the_uniform_state(monkeypatch):
+    # configs/square_mode1.yaml with Thomas kinetics: at this growth step
+    # PTC converges onto w* itself (finish/switch distance 1.2e-12,
+    # residual 7.8e-12 at t 5.257) and used to be reported converged
+    monkeypatch.setattr(simulator, "GROWTH_STEP", 0.01)
+    mesh = mi.generate_rectangle(1.0, 1.0, 32, 32)
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    model = mi.thomas()
+    state = model.steady_state()
+    spectrum = smallest_eigenpairs(A, M, count=8, seed=0)
+    result = isolate_mode(spectrum.eigenvalues, 1,
+                          model.jacobian(state.u, state.v))
+    config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
+                              seed=1, max_time=6.0)
+    out = simulate(mesh, config, M=M, A=A)
+    # refused, the growth march resumes from the switch state
+    assert out.ptc_steps > 0
+    assert out.status is SimulationStatus.MAX_TIME
+    assert out.elapsed == 6.0
+    assert np.ptp(out.u) > 1.0
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
