@@ -225,10 +225,8 @@ def growth_rate(J: Jacobian2x2, d: float, gamma: float, k2):
     return 0.5 * (T + np.sqrt(np.maximum(disc, 0.0)))
 
 
-# An unmeasured bound: tau sets only the stop test's IMEX probe (no step
-# is taken), the time a PTC finish adds, and the step when nothing grows.
-# Lifted, tau = 1e-3 to 0.2 gave the same status and correlation on the
-# six shipped and three grow configs (seed 1).
+# An unmeasured bound: tau sets only the time a PTC finish adds and the
+# growth step when nothing grows (sigma_max = 0).
 MAX_STABLE_TAU = 1e-2
 
 

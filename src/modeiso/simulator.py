@@ -18,28 +18,27 @@ GROWTH_STEP, where sigma_max is the largest growth rate over k^2 >= 0
 tau sigma < 1.  When nothing grows, sigma_max < 0 is the slowest decay
 rate; when it is 0 there is no rate, and tau_g is tau.
 
-Each growth step also computes, from the same F(w), the IMEX increment
-(M2/tau + D)^-1 F(w) at the configured tau: the explicit-reaction step
-the march replaces.  Divided by tau it is the step's time derivative,
-and its norm is the quantity the stop test and `SwitchRule` read, as
-the PTC finish reads it after each of its steps.  Implicit Euler damps
-the uniform mode in a step or two, so this probe can fall below the stop
-tolerance next to the unstable uniform state before the target mode has
-grown.  So while some wavenumber grows (sigma_max > 0), no stop counts
-until `SwitchRule` has fired.  Arming is not enough: grown from a 1e-4
-perturbation, the norm can rise tenfold and still be below the stop
-tolerance.
+The stop test and `SwitchRule` read the time derivative of the
+semi-discrete system M2 w' = F(w), with the mass lumped to
+M_L = diag(M 1): the derivative norm ||F_u||_{M_L^-1} + ||F_v||_{M_L^-1}
+stands for m_norm(du/dt) + m_norm(dv/dt) and costs no solve, as each
+step already has F.  Implicit Euler damps the noise in a step or two,
+so this norm can fall below the stop tolerance next to the unstable
+uniform state before the target mode has grown.  So while some
+wavenumber grows (sigma_max > 0), no stop counts until `SwitchRule` has
+fired.  Arming is not enough: grown from a 1e-4 perturbation, the norm
+can rise tenfold and still be below the stop tolerance.
 
 Once the run's own derivative history shows a grown pattern (see
 `SwitchRule`), `simulate` finishes with pseudo-transient continuation
 (PTC): K = M2/delta + D - gamma M2 J_R(w), where J_R is the model's nodal
 Jacobian of R, factored afresh each step.  delta follows switched
 evolution relaxation, delta <- delta ||F_old|| / ||F_new|| (Kelley &
-Keyes, SINUM 35, 1998).  After each PTC step one IMEX step from the PTC
-state applies the unchanged stop test, and the run returns that post-IMEX
-state.  When PTC fails (a failed solve, the step cap, or ||F|| growing),
-or returns to the uniform state (closer to w* than PTC_MIN_DISTANCE
-times the switch state), the growth march resumes from the switch state.
+Keyes, SINUM 35, 1998).  After each PTC step the same stop test reads
+the PTC state's residual, and the run returns that state.  When PTC
+fails (a failed solve, the step cap, or ||F|| growing), or returns to
+the uniform state (closer to w* than PTC_MIN_DISTANCE times the switch
+state), the growth march resumes from the switch state.
 Every solve is residual checked, so a non-finite F(w), at the initial
 state or after a growth step, ends the run as diverged before its solve.
 """
@@ -126,7 +125,7 @@ class SimulationConfig:
 class SimulationOutcome:
     u: np.ndarray
     v: np.ndarray
-    elapsed: float             # growth time reached; PTC adds tau
+    elapsed: float             # growth time reached; a PTC finish adds tau
     history: tuple[tuple[float, float], ...]  # (t, derivative norm)
     status: SimulationStatus
     ptc_steps: int = 0         # PTC steps taken, an abandoned attempt too
@@ -167,16 +166,15 @@ class SwitchRule:
 
 class ImexStepper:
     """Prebuilt operators of the stacked system on a fixed mesh: the
-    residual F(w), the IMEX increment, the growth matrix and the PTC
-    matrix."""
+    residual F(w), its lumped-mass derivative norm, the growth matrix and
+    the PTC matrix."""
 
     def __init__(self, M: sp.spmatrix, A: sp.spmatrix,
                  config: SimulationConfig):
         self.config = config
         self.M2 = sp.block_diag((M, M), format="csr")
         self.D = sp.block_diag((A, config.d * A), format="csr")
-        self.solver = SpdSolver(self.M2 / config.tau + self.D,
-                                rtol=SOLVER_RTOL)
+        self.lumped = np.asarray(M.sum(axis=1)).ravel()     # M_L = M 1
         state = config.model.steady_state()
         self.w_star = np.repeat((state.u, state.v), M.shape[0])
         self.sigma_max = max_growth_rate(
@@ -196,18 +194,13 @@ class ImexStepper:
         R[:n], R[n:] = model.f(u, v), model.g(u, v)
         return self.config.gamma * (self.M2 @ R) - self.D @ w
 
-    def step(self, w: np.ndarray) -> np.ndarray:
-        """The IMEX increment (M2/tau + D)^-1 F(w)."""
-        return self.solver.solve(self.residual(w))
-
-    def norms(self, w: np.ndarray, dw: np.ndarray) -> tuple[float, float]:
-        """For the state w reached by the increment dw: the derivative norm
-        m_norm(du/dt) + m_norm(dv/dt), and the larger of m_norm(u) and
-        m_norm(v), from one product with M2."""
-        X = np.column_stack((dw / self.config.tau, w))
-        sq = (X * (self.M2 @ X)).reshape(2, -1, 2).sum(axis=1)
-        norms = np.sqrt(np.maximum(sq, 0.0))    # rows u, v; columns d/dt, w
-        return float(norms[0, 0] + norms[1, 0]), float(norms[:, 1].max())
+    def norms(self, w: np.ndarray, F: np.ndarray) -> tuple[float, float]:
+        """For the state w with residual F = F(w): the derivative norm
+        sqrt(F_u^T M_L^-1 F_u) + sqrt(F_v^T M_L^-1 F_v), and the larger of
+        m_norm(u) and m_norm(v)."""
+        deriv = np.sqrt((F.reshape(2, -1) ** 2 / self.lumped).sum(axis=1))
+        size = (w * (self.M2 @ w)).reshape(2, -1).sum(axis=1)
+        return float(deriv.sum()), math.sqrt(max(size.max(), 0.0))
 
     def distance(self, w: np.ndarray) -> float:
         """The M2-norm of w - w*, the distance from the uniform state."""
@@ -232,8 +225,8 @@ def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
     """PTC from the switch state w.
 
     Returns (steps taken, result): result is (w, derivative norm) of the
-    first post-IMEX state that passes the stop test, or None when PTC
-    failed and the caller should go on from w with the growth march.
+    first PTC state that passes the stop test, or None when PTC failed
+    and the caller should go on from w with the growth march.
     A state that passes the stop test back at the uniform state, closer
     to w* than PTC_MIN_DISTANCE times the switch state, is a failure.
     """
@@ -251,12 +244,11 @@ def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
         f_new = np.linalg.norm(F)
         if not f_new <= PTC_MAX_GROWTH * f_switch:  # also catches nan
             return k, None
-        dw = stepper.solver.solve(F)    # the IMEX step from w
-        deriv, _ = stepper.norms(w + dw, dw)
+        deriv, _ = stepper.norms(w, F)
         if deriv < stepper.config.stop_tol:
-            if stepper.distance(w + dw) < min_distance:
+            if stepper.distance(w) < min_distance:
                 return k, None
-            return k, (w + dw, deriv)
+            return k, (w, deriv)
         delta *= f_norm / f_new
         f_norm = f_new
     return PTC_MAX_STEPS, None
@@ -268,11 +260,11 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
              ) -> SimulationOutcome:
     """Run to the inhomogeneous steady state or to max_time.
 
-    Stops when m_norm(M, du/dt) + m_norm(M, dv/dt) < stop_tol for the
-    IMEX step from a growth state (once the stop counts, see the module
-    docstring) or from a PTC state.  The last growth step is shortened to
-    end at max_time.  The derivative history holds one entry per growth
-    step, plus the final PTC check.  M and A are the mesh's P1 mass and
+    Stops when the lumped-mass derivative norm (see the module docstring)
+    is below stop_tol at a growth state, once the stop counts, or at a
+    PTC state.  The last growth step is shortened to end at max_time.
+    The derivative history holds one entry per growth step, plus the
+    final PTC check.  M and A are the mesh's P1 mass and
     stiffness matrices.
     """
     if initial is None:
@@ -305,8 +297,7 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
         if not np.isfinite(F).all():
             status = SimulationStatus.DIVERGED
             break
-        dw = stepper.solver.solve(F)
-        deriv, size = stepper.norms(w, dw)
+        deriv, size = stepper.norms(w, F)
         history.append((t, deriv))
         if size > DIVERGENCE_NORM:
             status = SimulationStatus.DIVERGED

@@ -3,11 +3,10 @@
 `SpdSolver` wraps one fixed matrix for repeated solves: it factors the
 matrix once (SuperLU) and reuses the factors for every right-hand side,
 a vector or an (n, k) block of columns solved in one call.  The
-eigensolver's shift-invert systems (one block per Lanczos step) and the
-simulator's stacked IMEX probe system diag(M/tau + A, M/tau + d A),
-which are SPD, go through it.  So do the simulator's nonsymmetric growth
-and pseudo-transient continuation matrices: the LU factorization and the
-residual check need no symmetry, and the name stays for its SPD callers.
+eigensolver's shift-invert systems (one block per Lanczos step), which
+are SPD, go through it.  So do the simulator's nonsymmetric growth and
+pseudo-transient continuation matrices: the LU factorization and the
+residual check need no symmetry, and the name stays for its SPD caller.
 Every column's residual is checked, so callers never receive a silently
 bad solve.
 

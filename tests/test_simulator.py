@@ -13,6 +13,7 @@ from modeiso.pattern_metrics import match_pattern
 from modeiso.simulator import (ImexStepper, SimulationConfig,
                                SimulationStatus, SwitchRule,
                                initial_condition, simulate)
+from modeiso.solvers import SpdSolver
 
 ZERO_KINETICS = KineticsModel("zero", {},
                               f=lambda u, v: 0.0 * u,
@@ -81,10 +82,12 @@ def test_pure_diffusion_conserves_mass(small_mesh):
     u = 1.0 + 0.5 * rng.random(small_mesh.n_vertices)
     ones = np.ones_like(u)
     stepper = ImexStepper(M, A, config)
+    # no kinetics: the growth matrix is M2/tau + D
+    growth = stepper.growth_solver(stepper.growth_tau)
     mass = ones @ (M @ u)
     w = np.concatenate((u, u))
     for _ in range(200):
-        w = w + stepper.step(w)
+        w = w + growth.solve(stepper.residual(w))
         new_mass = ones @ (M @ w[:len(u)])
         assert abs(new_mass - mass) < 1e-9 * abs(mass)  # per-step drift
         mass = new_mass
@@ -290,10 +293,12 @@ def test_growth_rate_bounds_the_rectangle_spectrum(growth):
 def _imex_reference(mesh, M, A, config):
     """The fixed-tau loop alone, run to the same stop test."""
     stepper = ImexStepper(M, A, config)
+    imex = SpdSolver(stepper.M2 / config.tau + stepper.D,
+                     rtol=simulator.SOLVER_RTOL)
     w = np.concatenate(initial_condition(mesh, config.model.steady_state(),
                                          config.amplitude, config.seed))
     for step in range(1, int(round(config.max_time / config.tau)) + 1):
-        dw = stepper.step(w)
+        dw = imex.solve(stepper.residual(w))
         du, dv = np.split(dw / config.tau, 2)
         deriv = np.sqrt(du @ (M @ du)) + np.sqrt(dv @ (M @ dv))
         w = w + dw
@@ -320,7 +325,7 @@ def test_ptc_finish_matches_imex_reference(growth):
     assert out.history[-1][0] == pytest.approx(out.elapsed)
     assert out.history[-1][1] < config.stop_tol
     assert out.residual_norm < 1e-6
-    # measured: 7.4e-5 in u and 3.0e-5 in v; the pattern spans 0.91 in u
+    # measured: 8.3e-5 in u and 3.4e-5 in v; the pattern spans 0.91 in u
     assert np.abs(out.u - u_ref).max() < 3e-4
     assert np.abs(out.v - v_ref).max() < 3e-4
     # the dominant computed mode, out of every non-constant one
@@ -329,6 +334,31 @@ def test_ptc_finish_matches_imex_reference(growth):
     ref = match_pattern(u_ref, spectrum, M, modes)
     assert report.best_index == ref.best_index == 1
     assert report.correlation == pytest.approx(ref.correlation, abs=1e-6)
+
+
+def test_one_solve_per_growth_or_ptc_step(growth, monkeypatch):
+    mesh, M, A, _, config = growth
+    counts = {"factor": 0, "solve": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SpdSolver, "__init__",
+                        counted("factor", SpdSolver.__init__))
+    monkeypatch.setattr(SpdSolver, "solve", counted("solve", SpdSolver.solve))
+    out = simulate(mesh, config, M=M, A=A)
+    assert out.status is SimulationStatus.CONVERGED and out.ptc_steps > 0
+    growth_steps = len(out.history) - 1     # the last entry is PTC's
+    # one growth matrix (no shortened last step) and one per PTC step
+    assert counts == {"factor": 1 + out.ptc_steps,
+                      "solve": growth_steps + out.ptc_steps}
+    # the last norm is the returned state's own
+    stepper = ImexStepper(M, A, config)
+    w = np.concatenate((out.u, out.v))
+    assert out.history[-1][1] == stepper.norms(w, stepper.residual(w))[0]
 
 
 def _march_reference(mesh, M, A, config):
@@ -341,8 +371,7 @@ def _march_reference(mesh, M, A, config):
     rule, fired = SwitchRule(), False
     for step in range(1, int(config.max_time / stepper.growth_tau)):
         w = w + growth.solve(stepper.residual(w))
-        du, dv = np.split(stepper.step(w) / config.tau, 2)
-        deriv = np.sqrt(du @ (M @ du)) + np.sqrt(dv @ (M @ dv))
+        deriv, _ = stepper.norms(w, stepper.residual(w))
         if fired and deriv < config.stop_tol:
             return (*np.split(w, 2), step * stepper.growth_tau)
         fired = fired or rule(deriv)
