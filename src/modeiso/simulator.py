@@ -1,6 +1,6 @@
 """Finite element time stepping for the nondimensional reaction-diffusion
 system: a linearly implicit growth march, finished by pseudo-transient
-continuation.
+continuation where the march stalls.
 
 Both phases carry one stacked state w = (u, v) and take one update form,
 w <- w + K^-1 F(w), on the residual F(w) = gamma M2 R(w) - D w.  Here
@@ -30,15 +30,23 @@ fired.  Arming is not enough: grown from a 1e-4 perturbation, the norm
 can rise tenfold and still be below the stop tolerance.
 
 Once the run's own derivative history shows a grown pattern (see
-`SwitchRule`), `simulate` finishes with pseudo-transient continuation
-(PTC): K = M2/delta + D - gamma M2 J_R(w), where J_R is the model's nodal
-Jacobian of R, factored afresh each step.  delta follows switched
-evolution relaxation, delta <- delta ||F_old|| / ||F_new|| (Kelley &
-Keyes, SINUM 35, 1998).  After each PTC step the same stop test reads
-the PTC state's residual, and the run returns that state.  When PTC
-fails (a failed solve, the step cap, or ||F|| growing), or returns to
-the uniform state (closer to w* than PTC_MIN_DISTANCE times the switch
-state), the growth march resumes from the switch state.
+`SwitchRule`), the stop test counts, and `simulate` keeps the switch
+state and lets the growth march go on.  After each later step it
+estimates the march's contraction as the geometric mean ratio of the
+last STALL_WINDOW derivative norms.  The march is stalled when that
+ratio is >= 1, or when it predicts more steps to the stop tolerance
+than STALL_BUDGET or than are left before max_time.  Only then does
+`simulate` finish with pseudo-transient continuation (PTC), started from
+the saved switch state: K = M2/delta + D - gamma M2 J_R(w), where J_R is
+the model's nodal Jacobian of R, factored afresh each step.  delta
+follows switched evolution relaxation, delta <- delta ||F_old|| /
+||F_new|| (Kelley & Keyes, SINUM 35, 1998).  After each PTC step the
+same stop test reads the PTC state's residual, and the run returns that
+state.  When PTC fails (a failed solve, the step cap, or ||F|| growing),
+or returns to the uniform state (closer to w* than PTC_MIN_DISTANCE
+times the switch state), the growth march goes on from where it
+stalled, which is where a march resumed from the switch state would
+be, and PTC is not tried again.
 Every solve is residual checked, so a non-finite F(w), at the initial
 state or after a growth step, ends the run as diverged before its solve.
 """
@@ -73,8 +81,22 @@ SOLVER_RTOL = 1e-10        # ||b - K x|| <= SOLVER_RTOL ||b|| on every solve
 # formed and moved the match correlation in its fourth digit.
 SWITCH_RISE = 10.0
 SWITCH_FALL = 10.0
-# Starting pseudo-time step: 1 takes 2-5 PTC steps per grow config after
-# the growth march (seeds 1-20, one run 14).
+# After the switch the march is stalled, and PTC runs, when the geometric
+# mean ratio of its last STALL_WINDOW derivative norms is >= 1 or
+# predicts more than STALL_BUDGET steps to stop_tol.  On the march alone
+# (seeds 1-3) the predictions stay at 3-9 steps on the tubes and the grow
+# sphere and dumbbell, and at 52-55 on the square; all of these reach
+# stop_tol.  On sphere_l2 and dumbbell_explicit they rise to 109-5000,
+# and on disk_radial the ratio reaches 1.07; the march alone ends at
+# max_time on all three.  Three norms ride over the tubes' cycle of
+# ratios (about 0.25, 0.55, 0.75, with single rises to 1.004).  The steps
+# left before max_time cap the budget: tube_open at seed 10 switches five
+# steps before max_time, which its march alone reaches unconverged.
+STALL_WINDOW = 3
+STALL_BUDGET = 100
+# Starting pseudo-time step: 1 takes 2-4 PTC steps on disk_radial, 14 on
+# the square at the one seed where its march stalls, and 4 on tube_open
+# where max_time cuts its march (seeds 1-10).
 PTC_DELTA0 = 1.0
 # The l = 2 sphere and the dumbbell pair, whose near-neutral rotations
 # slow PTC most, took 18-62 and 16-102 steps (seeds 1-10).
@@ -125,8 +147,10 @@ class SimulationConfig:
 class SimulationOutcome:
     u: np.ndarray
     v: np.ndarray
-    elapsed: float             # growth time reached; a PTC finish adds tau
-    history: tuple[tuple[float, float], ...]  # (t, derivative norm)
+    elapsed: float             # growth time; a PTC finish: switch time + tau
+    # (t, derivative norm) per growth step; after a PTC finish, the steps
+    # up to the switch and PTC's final check
+    history: tuple[tuple[float, float], ...]
     status: SimulationStatus
     ptc_steps: int = 0         # PTC steps taken, an abandoned attempt too
     residual_norm: float | None = None   # ||F(u, v)||_2; None if diverged
@@ -221,12 +245,24 @@ class ImexStepper:
                 - self.config.gamma * (self.M2 @ J_R)).tocsr()
 
 
+def _stalled(history: list[tuple[float, float]], stop_tol: float,
+             steps_left: float) -> bool:
+    """Whether the growth march, by the contraction of its last
+    STALL_WINDOW derivative norms in history, misses stop_tol: their
+    geometric mean ratio is >= 1, or predicts that reaching stop_tol takes
+    more steps than STALL_BUDGET or than the steps_left before max_time."""
+    first, last = history[-STALL_WINDOW][1], history[-1][1]
+    rate = (last / first) ** (1.0 / (STALL_WINDOW - 1))
+    return rate >= 1.0 or math.log(stop_tol / last) / math.log(rate) \
+        > min(STALL_BUDGET, steps_left)
+
+
 def _ptc_finish(stepper: ImexStepper, w: np.ndarray):
     """PTC from the switch state w.
 
     Returns (steps taken, result): result is (w, derivative norm) of the
     first PTC state that passes the stop test, or None when PTC failed
-    and the caller should go on from w with the growth march.
+    and the caller's growth march should go on.
     A state that passes the stop test back at the uniform state, closer
     to w* than PTC_MIN_DISTANCE times the switch state, is a failure.
     """
@@ -263,9 +299,9 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
     Stops when the lumped-mass derivative norm (see the module docstring)
     is below stop_tol at a growth state, once the stop counts, or at a
     PTC state.  The last growth step is shortened to end at max_time.
-    The derivative history holds one entry per growth step, plus the
-    final PTC check.  M and A are the mesh's P1 mass and
-    stiffness matrices.
+    The derivative history holds one entry per growth step; a PTC finish
+    drops the entries after the switch and adds its final check.  M and
+    A are the mesh's P1 mass and stiffness matrices.
     """
     if initial is None:
         state = config.model.steady_state()
@@ -282,6 +318,7 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
     n_steps = max(1, math.ceil(config.max_time / tau_g - 1e-9))
     t = 0.0
     ptc_steps = 0
+    switched = None     # (w, t, history length) at the switch
     status = SimulationStatus.MAX_TIME
     F = stepper.residual(w)
     if not np.isfinite(F).all():    # no step: its solve would refuse F
@@ -303,15 +340,22 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
             status = SimulationStatus.DIVERGED
             break
         if deriv < config.stop_tol and (stepper.sigma_max <= 0
-                                        or ptc_steps > 0):
+                                        or switched is not None):
             status = SimulationStatus.CONVERGED
             break
-        if ptc_steps == 0 and switch(deriv) and step < n_steps:
-            # one attempt; a failed one resumes the growth march here
-            ptc_steps, finished = _ptc_finish(stepper, w)
+        if switched is None:
+            if switch(deriv):
+                switched = w, t, len(history)
+        elif (ptc_steps == 0 and step < n_steps
+              and _stalled(history, config.stop_tol, n_steps - step)):
+            # one attempt, from the switch state; a failed one lets the
+            # growth march go on from here
+            w_switch, t_switch, kept = switched
+            ptc_steps, finished = _ptc_finish(stepper, w_switch)
             if finished is not None:
                 w, deriv = finished
-                t += config.tau
+                t = t_switch + config.tau
+                del history[kept:]
                 history.append((t, deriv))
                 status = SimulationStatus.CONVERGED
                 break

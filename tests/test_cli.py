@@ -401,7 +401,7 @@ def test_pipeline_end_to_end(tmp_path, capsys):
         "match.json", "outcome.json"]
     outcome = json.loads((out_dir / "outcome.json").read_text())
     assert outcome["status"] == "converged"
-    assert outcome["ptc_steps"] > 0   # the growth was finished by PTC
+    assert outcome["ptc_steps"] == 0   # the growth march converged itself
     assert 0.0 <= outcome["residual_norm"] < 1e-4
     # match subcommand reuses the saved state
     assert main(["match", "--config", str(path)]) == 0
@@ -411,6 +411,19 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     strict = write_config(tmp_path, match={
         "threshold": (match["correlation"] + 1.0) / 2})
     assert main(["match", "--config", str(strict)]) == 3
+
+
+def test_pipeline_finished_by_ptc(tmp_path, capsys):
+    # the l = 2 cluster's rotations stall the growth march after the switch
+    out_dir = tmp_path / "out"
+    code = main(["pipeline", "--config",
+                 os.path.join(ROOT, "configs", "sphere_l2.yaml"),
+                 "--out", str(out_dir)])
+    assert code == 0, capsys.readouterr()
+    outcome = json.loads((out_dir / "outcome.json").read_text())
+    assert outcome["status"] == "converged"
+    assert outcome["ptc_steps"] > 0   # the growth was finished by PTC
+    assert 0.0 <= outcome["residual_norm"] < 1e-4
 
 
 def test_pipeline_stopped_at_max_time_writes_no_match(tmp_path, capsys):

@@ -316,8 +316,11 @@ def test_noise_decay_does_not_switch(growth):
     assert out.ptc_steps == 0 and out.elapsed == pytest.approx(5.0)
 
 
-def test_ptc_finish_matches_imex_reference(growth):
+def test_ptc_finish_matches_imex_reference(growth, monkeypatch):
     mesh, M, A, spectrum, config = growth
+    # a budget of 0 steps stalls the march at its first step after the
+    # switch, so PTC finishes from the switch state
+    monkeypatch.setattr(simulator, "STALL_BUDGET", 0)
     out = simulate(mesh, config, M=M, A=A)
     u_ref, v_ref, t_ref = _imex_reference(mesh, M, A, config)
     assert out.status is SimulationStatus.CONVERGED
@@ -336,8 +339,40 @@ def test_ptc_finish_matches_imex_reference(growth):
     assert report.correlation == pytest.approx(ref.correlation, abs=1e-6)
 
 
-def test_one_solve_per_growth_or_ptc_step(growth, monkeypatch):
-    mesh, M, A, _, config = growth
+@pytest.fixture(scope="module")
+def stall():
+    """configs/sphere_l2.yaml: the five-fold l = 2 cluster on icosphere(2).
+    The pattern's near-neutral rotations slow the growth march after the
+    switch until it stalls, so PTC finishes the run."""
+    mesh = mi.generate_icosphere(2)
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    model = mi.schnakenberg()
+    state = model.steady_state()
+    spectrum = smallest_eigenpairs(A, M, count=12, tol=1e-9, seed=0)
+    result = isolate_mode(spectrum.eigenvalues, 4,
+                          model.jacobian(state.u, state.v))
+    assert result.excited_indices == (4, 5, 6, 7, 8)
+    config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
+                              seed=1)
+    return mesh, M, A, config
+
+
+def _stalls(monkeypatch):
+    """The history lengths at which `simulate` found the march stalled."""
+    lengths = []
+    stalled = simulator._stalled
+
+    def spy(history, stop_tol, steps_left):
+        if stalled(history, stop_tol, steps_left):
+            lengths.append(len(history))
+            return True
+        return False
+    monkeypatch.setattr(simulator, "_stalled", spy)
+    return lengths
+
+
+def _counted_solvers(monkeypatch):
+    """SpdSolver factorizations and solves made from now on."""
     counts = {"factor": 0, "solve": 0}
 
     def counted(name, method):
@@ -349,9 +384,16 @@ def test_one_solve_per_growth_or_ptc_step(growth, monkeypatch):
     monkeypatch.setattr(SpdSolver, "__init__",
                         counted("factor", SpdSolver.__init__))
     monkeypatch.setattr(SpdSolver, "solve", counted("solve", SpdSolver.solve))
+    return counts
+
+
+def test_one_solve_per_growth_or_ptc_step(stall, monkeypatch):
+    mesh, M, A, config = stall
+    stalls = _stalls(monkeypatch)
+    counts = _counted_solvers(monkeypatch)
     out = simulate(mesh, config, M=M, A=A)
     assert out.status is SimulationStatus.CONVERGED and out.ptc_steps > 0
-    growth_steps = len(out.history) - 1     # the last entry is PTC's
+    growth_steps = stalls[0]     # every growth step up to the stall
     # one growth matrix (no shortened last step) and one per PTC step
     assert counts == {"factor": 1 + out.ptc_steps,
                       "solve": growth_steps + out.ptc_steps}
@@ -359,6 +401,51 @@ def test_one_solve_per_growth_or_ptc_step(growth, monkeypatch):
     stepper = ImexStepper(M, A, config)
     w = np.concatenate((out.u, out.v))
     assert out.history[-1][1] == stepper.norms(w, stepper.residual(w))[0]
+
+
+def test_ptc_finish_drops_the_march_after_the_switch(stall, monkeypatch):
+    mesh, M, A, config = stall
+    stalls = _stalls(monkeypatch)
+    out = simulate(mesh, config, M=M, A=A)
+    assert out.status is SimulationStatus.CONVERGED and out.ptc_steps > 0
+    march = out.history[:-1]
+    # the march went on past the switch before it stalled ...
+    assert stalls == [stalls[0]] and stalls[0] > len(march)
+    # ... and the history ends at the switch, plus PTC's final check
+    rule = SwitchRule()
+    fired = [rule(norm) for _, norm in march]
+    assert fired.index(True) == len(march) - 1
+    assert out.history[-1][0] == out.elapsed
+    assert out.elapsed == pytest.approx(march[-1][0] + config.tau)
+
+
+def test_stall_rule_on_norm_histories():
+    stop_tol = 1e-4
+
+    def stalls(ratios, steps_left=np.inf):
+        """_stalled after each norm of a history that starts at 1e-2 and
+        falls by these ratios, until the norm is below stop_tol."""
+        norms = [1e-2]
+        for r in ratios:
+            if norms[-1] < stop_tol:
+                break
+            norms.append(norms[-1] * r)
+        history = [(float(k), x) for k, x in enumerate(norms)]
+        return [simulator._stalled(history[:k], stop_tol, steps_left)
+                for k in range(simulator.STALL_WINDOW, len(history) + 1)
+                if history[k - 1][1] >= stop_tol]
+
+    # the square's steady 0.89 per step reaches stop_tol in 40 steps
+    assert not any(stalls([0.89] * 100))
+    # the tubes' cycle of ratios, one of them a rise (grow dumbbell seed 3)
+    assert not any(stalls([0.25, 0.55, 0.75] * 10))
+    assert not any(stalls([0.75, 0.25, 0.55, 1.004, 0.488, 0.229, 0.929]))
+    # no contraction, or a growing norm (disk_radial's ring: 1.072)
+    assert all(stalls([1.0] * 5)) and all(stalls([1.072] * 5))
+    # a slow contraction that needs more than the budget (dumbbell_explicit)
+    assert all(stalls([0.97] * 5))
+    # ... or than the steps left before max_time
+    assert all(stalls([0.89] * 5, steps_left=10))
 
 
 def _march_reference(mesh, M, A, config):
@@ -376,6 +463,33 @@ def _march_reference(mesh, M, A, config):
             return (*np.split(w, 2), step * stepper.growth_tau)
         fired = fired or rule(deriv)
     raise AssertionError("reference march did not converge")
+
+
+def test_growth_converges_by_the_march_alone(growth, monkeypatch):
+    mesh, M, A, _, config = growth
+    counts = _counted_solvers(monkeypatch)
+    out = simulate(mesh, config, M=M, A=A)
+    assert out.status is SimulationStatus.CONVERGED and out.ptc_steps == 0
+    assert counts["factor"] == 1
+    u_ref, v_ref, t_ref = _march_reference(mesh, M, A, config)
+    assert out.elapsed == pytest.approx(t_ref)
+    assert np.abs(out.u - u_ref).max() < 1e-12
+    assert np.abs(out.v - v_ref).max() < 1e-12
+
+
+def test_ptc_finishes_a_march_that_max_time_would_cut(growth):
+    mesh, M, A, _, config = growth
+    tau_g = ImexStepper(M, A, config).growth_tau
+    rule = SwitchRule()
+    full = simulate(mesh, config, M=M, A=A)
+    t_switch = next(t for t, norm in full.history if rule(norm))
+    # the march alone needs more than the 2.5 steps left after the switch
+    assert full.elapsed > t_switch + 2.5 * tau_g
+    short = SimulationConfig(**{**config.__dict__,
+                                "max_time": t_switch + 2.5 * tau_g})
+    out = simulate(mesh, short, M=M, A=A)
+    assert out.status is SimulationStatus.CONVERGED and out.ptc_steps > 0
+    assert out.elapsed == pytest.approx(t_switch + config.tau)
 
 
 @pytest.mark.parametrize("amplitude", [1e-3, 1e-4])
@@ -421,6 +535,7 @@ def _singular_ptc_matrix(original):
 @pytest.mark.parametrize("failure", ["solve", "step_cap", "growth"])
 def test_ptc_failure_falls_back_to_imex(growth, monkeypatch, failure):
     mesh, M, A, _, config = growth
+    monkeypatch.setattr(simulator, "STALL_BUDGET", 0)
     if failure == "solve":
         monkeypatch.setattr(ImexStepper, "ptc_matrix",
                             _singular_ptc_matrix(ImexStepper.ptc_matrix))
@@ -430,8 +545,9 @@ def test_ptc_failure_falls_back_to_imex(growth, monkeypatch, failure):
         monkeypatch.setattr(simulator, "PTC_MAX_GROWTH", 0.0)
     out = simulate(mesh, config, M=M, A=A)
     u_ref, v_ref, t_ref = _march_reference(mesh, M, A, config)
-    # PTC was tried once, then the growth march went on from the switch
-    # state and stopped by its own rule, where the march alone stops
+    # PTC was tried once, from the switch state, then the growth march went
+    # on from the step after the switch and stopped by its own rule, where
+    # the march alone stops
     assert out.ptc_steps == 1
     assert out.status is SimulationStatus.CONVERGED
     assert out.elapsed == pytest.approx(t_ref)
@@ -456,7 +572,7 @@ def test_ptc_finish_refuses_a_return_to_the_uniform_state(monkeypatch):
     config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
                               seed=1, max_time=6.0)
     out = simulate(mesh, config, M=M, A=A)
-    # refused, the growth march resumes from the switch state
+    # refused, the growth march goes on and ends at max_time
     assert out.ptc_steps > 0
     assert out.status is SimulationStatus.MAX_TIME
     assert out.elapsed == 6.0
