@@ -225,8 +225,8 @@ def growth_rate(J: Jacobian2x2, d: float, gamma: float, k2):
     return 0.5 * (T + np.sqrt(np.maximum(disc, 0.0)))
 
 
-# An unmeasured bound: tau sets only the time a PTC finish adds and the
-# growth step when nothing grows (sigma_max = 0).
+# An unmeasured bound: tau sets only the growth step when nothing grows
+# (sigma_max = 0).
 MAX_STABLE_TAU = 1e-2
 
 

@@ -11,12 +11,12 @@ The growth march is linearly implicit Euler with
 K = M2/tau_g + D - gamma M2 J_R(w*): diffusion and the reactions
 linearized at the uniform steady state w* are implicit, the rest of the
 reactions explicit.  K is constant, so `SpdSolver` factors it once per
-run, and once more for a last step shortened to end at max_time.  The
-step is sized by the dispersion relation: tau_g |sigma_max| =
-GROWTH_STEP, where sigma_max is the largest growth rate over k^2 >= 0
-(`kinetics.max_growth_rate`); implicit Euler on a growing mode needs
-tau sigma < 1.  When nothing grows, sigma_max < 0 is the slowest decay
-rate; when it is 0 there is no rate, and tau_g is tau.
+run, and the march takes whole steps only: its grid k tau_g is the run's
+one clock.  The step is sized by the dispersion relation: tau_g
+|sigma_max| = GROWTH_STEP, where sigma_max is the largest growth rate
+over k^2 >= 0 (`kinetics.max_growth_rate`); implicit Euler on a growing
+mode needs tau sigma < 1.  When nothing grows, sigma_max < 0 is the
+slowest decay rate; when it is 0 there is no rate, and tau_g is tau.
 
 The stop test and `SwitchRule` read the time derivative of the
 semi-discrete system M2 w' = F(w), with the mass lumped to
@@ -42,11 +42,11 @@ the model's nodal Jacobian of R, factored afresh each step.  delta
 follows switched evolution relaxation, delta <- delta ||F_old|| /
 ||F_new|| (Kelley & Keyes, SINUM 35, 1998).  After each PTC step the
 same stop test reads the PTC state's residual, and the run returns that
-state.  When PTC fails (a failed solve, the step cap, or ||F|| growing),
-or returns to the uniform state (closer to w* than PTC_MIN_DISTANCE
-times the switch state), the growth march goes on from where it
-stalled, which is where a march resumed from the switch state would
-be, and PTC is not tried again.
+state, stamped one growth step after the switch.  When PTC fails (a
+failed solve, the step cap, or ||F|| growing), or returns to the uniform
+state (closer to w* than PTC_MIN_DISTANCE times the switch state), the
+growth march goes on from where it stalled, which is where a march
+resumed from the switch state would be, and PTC is not tried again.
 Every solve is residual checked, so a non-finite F(w), at the initial
 state or after a growth step, ends the run as diverged before its solve.
 """
@@ -147,7 +147,7 @@ class SimulationConfig:
 class SimulationOutcome:
     u: np.ndarray
     v: np.ndarray
-    elapsed: float             # growth time; a PTC finish: switch time + tau
+    elapsed: float             # k tau_g; PTC finish: one step past the switch
     # (t, derivative norm) per growth step; after a PTC finish, the steps
     # up to the switch and PTC's final check
     history: tuple[tuple[float, float], ...]
@@ -206,9 +206,10 @@ class ImexStepper:
         self.growth_tau = (GROWTH_STEP / abs(self.sigma_max)
                            if self.sigma_max else config.tau)
 
-    def growth_solver(self, tau: float) -> SpdSolver:
-        """The growth matrix M2/tau + D - gamma M2 J_R(w*), factored."""
-        return SpdSolver(self.ptc_matrix(self.w_star, tau), rtol=SOLVER_RTOL)
+    def growth_solver(self) -> SpdSolver:
+        """The growth matrix M2/tau_g + D - gamma M2 J_R(w*), factored."""
+        return SpdSolver(self.ptc_matrix(self.w_star, self.growth_tau),
+                         rtol=SOLVER_RTOL)
 
     def residual(self, w: np.ndarray) -> np.ndarray:
         """F(w) = gamma M2 R(w) - D w, with R = (f, g) nodal."""
@@ -298,10 +299,11 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
 
     Stops when the lumped-mass derivative norm (see the module docstring)
     is below stop_tol at a growth state, once the stop counts, or at a
-    PTC state.  The last growth step is shortened to end at max_time.
-    The derivative history holds one entry per growth step; a PTC finish
-    drops the entries after the switch and adds its final check.  M and
-    A are the mesh's P1 mass and stiffness matrices.
+    PTC state.  Otherwise it ends at the first whole growth step at or
+    past max_time.  The derivative history holds one entry per growth
+    step, the k-th at k tau_g; a PTC finish drops the entries after the
+    switch and adds its final check one growth step after it.  M and A
+    are the mesh's P1 mass and stiffness matrices.
     """
     if initial is None:
         state = config.model.steady_state()
@@ -312,24 +314,20 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
 
     stepper = ImexStepper(M, A, config)
     tau_g = stepper.growth_tau
-    growth = stepper.growth_solver(tau_g)
+    growth = stepper.growth_solver()
     switch = SwitchRule()
     history: list[tuple[float, float]] = []
     n_steps = max(1, math.ceil(config.max_time / tau_g - 1e-9))
     t = 0.0
     ptc_steps = 0
-    switched = None     # (w, t, history length) at the switch
+    switched = None     # (w, history length) at the switch
     status = SimulationStatus.MAX_TIME
     F = stepper.residual(w)
     if not np.isfinite(F).all():    # no step: its solve would refuse F
         status, n_steps = SimulationStatus.DIVERGED, 0
     for step in range(1, n_steps + 1):
-        if step == n_steps:     # shortened to end at max_time
-            last = config.max_time - t
-            if abs(last - tau_g) > 1e-9 * tau_g:
-                growth = stepper.growth_solver(last)
         w = w + growth.solve(F)
-        t = config.max_time if step == n_steps else step * tau_g
+        t = step * tau_g
         F = stepper.residual(w)
         if not np.isfinite(F).all():
             status = SimulationStatus.DIVERGED
@@ -345,16 +343,16 @@ def simulate(mesh: Mesh, config: SimulationConfig, M: sp.spmatrix,
             break
         if switched is None:
             if switch(deriv):
-                switched = w, t, len(history)
+                switched = w, len(history)
         elif (ptc_steps == 0 and step < n_steps
               and _stalled(history, config.stop_tol, n_steps - step)):
             # one attempt, from the switch state; a failed one lets the
             # growth march go on from here
-            w_switch, t_switch, kept = switched
+            w_switch, kept = switched
             ptc_steps, finished = _ptc_finish(stepper, w_switch)
             if finished is not None:
                 w, deriv = finished
-                t = t_switch + config.tau
+                t = (kept + 1) * tau_g      # one growth step past the switch
                 del history[kept:]
                 history.append((t, deriv))
                 status = SimulationStatus.CONVERGED

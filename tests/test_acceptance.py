@@ -314,7 +314,7 @@ def test_acceptance_8_simulator_properties():
                               stop_tol=1e-30, max_time=10.0, amplitude=0.0)
     stepper = ImexStepper(M, A, config)
     # no kinetics: the growth matrix is M2/tau + D
-    growth = stepper.growth_solver(stepper.growth_tau)
+    growth = stepper.growth_solver()
     rng = np.random.default_rng(0)
     u = 1.0 + rng.random(mesh.n_vertices)
     w = np.concatenate((u, u))

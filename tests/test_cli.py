@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import struct
@@ -10,7 +11,9 @@ import yaml
 
 import modeiso as mi
 from modeiso.cli import main
+from modeiso.kinetics import max_growth_rate
 from modeiso.meshio import read_vtk, write_vtk
+from modeiso.simulator import GROWTH_STEP
 
 from conftest import ROOT, block_start, vtk_headers
 
@@ -435,12 +438,21 @@ def test_pipeline_stopped_at_max_time_writes_no_match(tmp_path, capsys):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(config))
     assert main(["pipeline", "--config", str(path)]) == 1
-    assert "simulate: status=max_time t=1" in capsys.readouterr().out
     out_dir = tmp_path / "out"
+    # the first whole growth step at or past max_time
+    isolation = json.loads((out_dir / "isolation.json").read_text())
+    model = mi.schnakenberg()
+    state = model.steady_state()
+    tau_g = GROWTH_STEP / max_growth_rate(model.jacobian(state.u, state.v),
+                                          isolation["d"], isolation["gamma"])
+    elapsed = math.ceil(1.0 / tau_g) * tau_g
+    assert 1.0 < elapsed < 1.0 + tau_g
+    assert (f"simulate: status=max_time t={elapsed:.4g}\n"
+            in capsys.readouterr().out)
     outcome = json.loads((out_dir / "outcome.json").read_text())
-    assert outcome["status"] == "max_time" and outcome["elapsed"] == 1.0
+    assert outcome["status"] == "max_time" and outcome["elapsed"] == elapsed
     last = (out_dir / "derivative_history.csv").read_text().splitlines()[-1]
-    assert float(last.split(",")[0]) == 1.0
+    assert float(last.split(",")[0]) == elapsed
     assert sorted(os.listdir(out_dir)) == [
         "derivative_history.csv", "final_state.vtk", "isolation.json",
         "outcome.json"]

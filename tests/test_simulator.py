@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -83,7 +85,7 @@ def test_pure_diffusion_conserves_mass(small_mesh):
     ones = np.ones_like(u)
     stepper = ImexStepper(M, A, config)
     # no kinetics: the growth matrix is M2/tau + D
-    growth = stepper.growth_solver(stepper.growth_tau)
+    growth = stepper.growth_solver()
     mass = ones @ (M @ u)
     w = np.concatenate((u, u))
     for _ in range(200):
@@ -103,7 +105,7 @@ def test_stepper_matches_dense_reference_loop():
 
     stepper = ImexStepper(M, A, config)
     tau_g = stepper.growth_tau
-    growth = stepper.growth_solver(tau_g)
+    growth = stepper.growth_solver()
     w = np.concatenate((u0, v0))
     for _ in range(40):
         w = w + growth.solve(stepper.residual(w))
@@ -312,8 +314,11 @@ def test_noise_decay_does_not_switch(growth):
     # the norm bottoms out near t = 1.2 and is not 10x above that until t = 6
     early = SimulationConfig(**{**config.__dict__, "max_time": 5.0})
     out = simulate(mesh, early, M=M, A=A)
+    tau_g = ImexStepper(M, A, early).growth_tau
     assert out.status is SimulationStatus.MAX_TIME
-    assert out.ptc_steps == 0 and out.elapsed == pytest.approx(5.0)
+    # the first whole growth step at or past max_time
+    assert out.ptc_steps == 0
+    assert out.elapsed == math.ceil(5.0 / tau_g) * tau_g
 
 
 def test_ptc_finish_matches_imex_reference(growth, monkeypatch):
@@ -415,8 +420,59 @@ def test_ptc_finish_drops_the_march_after_the_switch(stall, monkeypatch):
     rule = SwitchRule()
     fired = [rule(norm) for _, norm in march]
     assert fired.index(True) == len(march) - 1
+    tau_g = ImexStepper(M, A, config).growth_tau
     assert out.history[-1][0] == out.elapsed
-    assert out.elapsed == pytest.approx(march[-1][0] + config.tau)
+    assert out.elapsed == pytest.approx(march[-1][0] + tau_g)
+
+
+def test_ptc_finish_is_stamped_on_the_growth_grid(stall):
+    mesh, M, A, config = stall
+    out = simulate(mesh, config, M=M, A=A)
+    assert out.status is SimulationStatus.CONVERGED and out.ptc_steps > 0
+    tau_g = ImexStepper(M, A, config).growth_tau
+    times = [t for t, _ in out.history]
+    # every row at k tau_g: the march's rows up to the switch row, then
+    # the PTC finish one growth step after it
+    assert times == [k * tau_g for k in range(1, len(times) + 1)]
+    assert out.elapsed == times[-1]
+
+
+def test_tau_sets_nothing_where_a_mode_grows(stall):
+    mesh, M, A, config = stall
+    fine, coarse = (simulate(mesh, SimulationConfig(**{**config.__dict__,
+                                                       "tau": tau}),
+                             M=M, A=A) for tau in (1e-3, 1e-2))
+    assert fine.status is coarse.status is SimulationStatus.CONVERGED
+    assert fine.ptc_steps == coarse.ptc_steps > 0
+    assert np.array_equal(fine.u, coarse.u)
+    assert np.array_equal(fine.v, coarse.v)
+    assert fine.elapsed == coarse.elapsed
+    assert fine.history == coarse.history
+
+
+def test_refined_sphere_ends_at_max_time_on_a_whole_step():
+    # configs/sphere_l2.yaml on icosphere(4) at seed 2: PTC is abandoned
+    # after 5 steps and the march hovers at a derivative norm of 1.0765e-4,
+    # just above stop_tol, to the end.  Only a last step shortened to end
+    # at max_time (0.204 for tau_g 0.247) takes it below, to 9.79e-5.
+    mesh = mi.generate_icosphere(4)
+    M, A = mi.assemble_mass(mesh), mi.assemble_stiffness(mesh)
+    model = mi.schnakenberg()
+    state = model.steady_state()
+    spectrum = smallest_eigenpairs(A, M, count=12, tol=1e-9, seed=0)
+    result = isolate_mode(spectrum.eigenvalues, 4,
+                          model.jacobian(state.u, state.v))
+    assert result.excited_indices == (4, 5, 6, 7, 8)
+    config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
+                              seed=2)
+    out = simulate(mesh, config, M=M, A=A)
+    tau_g = ImexStepper(M, A, config).growth_tau
+    steps = math.ceil(config.max_time / tau_g)
+    assert out.status is SimulationStatus.MAX_TIME and out.ptc_steps == 5
+    assert len(out.history) == steps
+    assert out.elapsed == out.history[-1][0] == steps * tau_g
+    assert config.max_time < out.elapsed < config.max_time + tau_g
+    assert config.stop_tol < out.history[-1][1] < 1.1 * config.stop_tol
 
 
 def test_stall_rule_on_norm_histories():
@@ -452,7 +508,7 @@ def _march_reference(mesh, M, A, config):
     """The growth march alone, without PTC: it stops at the first
     derivative norm below stop_tol after `SwitchRule` has fired."""
     stepper = ImexStepper(M, A, config)
-    growth = stepper.growth_solver(stepper.growth_tau)
+    growth = stepper.growth_solver()
     w = np.concatenate(initial_condition(mesh, config.model.steady_state(),
                                          config.amplitude, config.seed))
     rule, fired = SwitchRule(), False
@@ -489,7 +545,7 @@ def test_ptc_finishes_a_march_that_max_time_would_cut(growth):
                                 "max_time": t_switch + 2.5 * tau_g})
     out = simulate(mesh, short, M=M, A=A)
     assert out.status is SimulationStatus.CONVERGED and out.ptc_steps > 0
-    assert out.elapsed == pytest.approx(t_switch + config.tau)
+    assert out.elapsed == pytest.approx(t_switch + tau_g)
 
 
 @pytest.mark.parametrize("amplitude", [1e-3, 1e-4])
@@ -507,20 +563,23 @@ def test_small_perturbation_grows_before_stopping(growth, amplitude, seed):
     assert report.correlation > 0.99
 
 
-def test_max_time_within_the_first_growth_step(growth):
+def test_max_time_within_the_first_growth_step(growth, monkeypatch):
     mesh, M, A, _, config = growth
-    stepper = ImexStepper(M, A, config)
+    tau_g = ImexStepper(M, A, config).growth_tau
+    counts = _counted_solvers(monkeypatch)
     for steps in (0.4, 2.5):
-        max_time = steps * stepper.growth_tau
-        short = SimulationConfig(**{**config.__dict__, "max_time": max_time})
+        counts.update(factor=0, solve=0)
+        short = SimulationConfig(**{**config.__dict__,
+                                    "max_time": steps * tau_g})
         out = simulate(mesh, short, M=M, A=A)
-        # the last step is shortened to end at max_time
+        # whole steps only, up to the first at or past max_time, all on
+        # the one growth factorization
+        whole = math.ceil(steps)
         assert out.status is SimulationStatus.MAX_TIME
-        assert out.elapsed == max_time
-        times = [t for t, _ in out.history]
-        assert times == pytest.approx(
-            [k * stepper.growth_tau for k in range(1, int(steps) + 1)]
-            + [max_time])
+        assert out.elapsed == whole * tau_g
+        assert [t for t, _ in out.history] == [
+            k * tau_g for k in range(1, whole + 1)]
+        assert counts == {"factor": 1, "solve": whole}
 
 
 def _singular_ptc_matrix(original):
@@ -572,10 +631,11 @@ def test_ptc_finish_refuses_a_return_to_the_uniform_state(monkeypatch):
     config = SimulationConfig(model=model, d=result.d, gamma=result.gamma,
                               seed=1, max_time=6.0)
     out = simulate(mesh, config, M=M, A=A)
+    tau_g = ImexStepper(M, A, config).growth_tau
     # refused, the growth march goes on and ends at max_time
     assert out.ptc_steps > 0
     assert out.status is SimulationStatus.MAX_TIME
-    assert out.elapsed == 6.0
+    assert out.elapsed == math.ceil(6.0 / tau_g) * tau_g
     assert np.ptp(out.u) > 1.0
 
 
